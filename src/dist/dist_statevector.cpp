@@ -71,11 +71,11 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     // the thread was placed in.
     slices_.resize(static_cast<std::size_t>(num_ranks));
     recv_bufs_.resize(static_cast<std::size_t>(num_ranks));
-    rank_scratch_.resize(static_cast<std::size_t>(num_ranks));
+    scratch_.resize(static_cast<std::size_t>(num_ranks));
     team_->run(num_ranks, [&](int r) {
       slices_[static_cast<std::size_t>(r)] = S(n_local);
       recv_bufs_[static_cast<std::size_t>(r)] = S(n_local);
-      rank_scratch_[static_cast<std::size_t>(r)].msg.resize(chunk_bytes);
+      scratch_[static_cast<std::size_t>(r)].msg.resize(chunk_bytes);
     });
   } else {
     slices_.reserve(num_ranks);
@@ -84,8 +84,9 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
       slices_.emplace_back(n_local);
       recv_bufs_.emplace_back(n_local);
     }
+    scratch_.resize(2);
+    scratch_[0].msg.resize(chunk_bytes);
   }
-  scratch_.resize(chunk_bytes);
   init_zero_state();
 }
 
@@ -190,749 +191,241 @@ void DistStateVector<S>::tick_gate() {
 
 template <class S>
 template <class Fn>
-void DistStateVector<S>::with_retry(rank_t r, rank_t peer, int messages,
-                                    std::uint64_t bytes, Fn&& fn) {
+void DistStateVector<S>::retry(rank_t r, rank_t peer, bool rendezvous,
+                               int tag, int messages, std::uint64_t bytes,
+                               Fn&& attempt) {
+  if (rendezvous && injector_ == nullptr) {
+    // Fault-free threaded transport skips the rendezvous entirely: the hot
+    // path has no extra sync.
+    attempt(0);
+    return;
+  }
   // Fault-free transport gets a single attempt, so genuine engine bugs are
   // never masked by the retry loop.
   const int attempts = injector_ != nullptr ? opts_.max_retries + 1 : 1;
-  for (int a = 0; a < attempts; ++a) {
-    try {
-      fn();
-      return;
-    } catch (const CommFault& f) {
-      // A timeout means the watchdog deadline elapsed before the receive
-      // gave up: that wait is real wall time on top of the retry backoff.
-      // A checksum mismatch is detected on arrival and costs no extra wait.
-      const bool timed_out = dynamic_cast<const CommTimeout*>(&f) != nullptr;
-      // Clear half-delivered messages of this exchange before re-sending.
-      cluster_.purge_pair(r, peer);
-      if (a + 1 >= attempts) {
-        throw NodeFailure(
-            "exchange between ranks " + std::to_string(r) + " and " +
-                std::to_string(peer) + " abandoned after " +
-                std::to_string(opts_.max_retries) + " retries",
-            peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-      }
-      injector_->record_retry(
-          bytes, messages,
-          opts_.retry_backoff_s * static_cast<double>(1 << a) +
-              (timed_out ? opts_.recv_deadline_s : 0.0));
-    }
-  }
-}
-
-template <class S>
-template <class RecvFn, class ResendFn>
-void DistStateVector<S>::chunk_retry(rank_t r, rank_t peer, int tag,
-                                     int messages, std::uint64_t bytes,
-                                     RecvFn&& recv_fn, ResendFn&& resend_fn) {
-  const int attempts = injector_ != nullptr ? opts_.max_retries + 1 : 1;
-  for (int a = 0; a < attempts; ++a) {
-    try {
-      recv_fn();
-      return;
-    } catch (const CommFault& f) {
-      const bool timed_out = dynamic_cast<const CommTimeout*>(&f) != nullptr;
-      // Purge only this chunk's tag: the exchange's other chunks stay
-      // queued (they are healthy in-flight traffic the pipeline will still
-      // consume), which is what makes the retry chunk-granular.
-      cluster_.purge_tag(r, peer, tag);
-      if (a + 1 >= attempts) {
-        throw NodeFailure(
-            "exchange between ranks " + std::to_string(r) + " and " +
-                std::to_string(peer) + " abandoned after " +
-                std::to_string(opts_.max_retries) + " retries",
-            peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-      }
-      injector_->record_retry(
-          bytes, messages,
-          opts_.retry_backoff_s * static_cast<double>(1 << a) +
-              (timed_out ? opts_.recv_deadline_s : 0.0));
-      resend_fn();
-    }
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full(rank_t r, rank_t peer) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-
-  auto send_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count) {
-    const std::size_t bytes = slices_[from].pack(first, count, scratch_.data());
-    cluster_.send(from, to, {scratch_.data(), bytes});
-  };
-  auto recv_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(from, to, {scratch_.data(), bytes});
-    recv_bufs_[to].unpack(first, count, scratch_.data());
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    // QuEST default: a sequence of blocking Sendrecv calls, one chunk fully
-    // completing before the next is posted. A fault retries just the
-    // affected Sendrecv round.
-    for (amp_index c = 0; c < chunks; ++c) {
-      const amp_index first = c * chunk_amps;
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      with_retry(r, peer, 2, 2 * count * kBytesPerAmp, [&] {
-        send_chunk(r, peer, first, count);
-        send_chunk(peer, r, first, count);
-        recv_chunk(r, peer, first, count);
-        recv_chunk(peer, r, first, count);
-      });
-    }
-  } else {
-    // Non-blocking rewrite: every Isend/Irecv posted up front, one WaitAll.
-    // A fault fails the WaitAll, so the whole exchange is re-posted.
-    with_retry(r, peer, 2 * static_cast<int>(chunks),
-               2 * n_local * kBytesPerAmp, [&] {
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        send_chunk(r, peer, first, count);
-        send_chunk(peer, r, first, count);
-      }
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        recv_chunk(r, peer, first, count);
-        recv_chunk(peer, r, first, count);
-      }
-    });
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half(rank_t r, rank_t peer, int local_bit) {
-  // Which half each side ships: the amplitudes whose local bit disagrees
-  // with the rank's own bit of the distributed target; see kernels.hpp.
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-
-  // Pooled scratch: sized on the first half-exchange, reused afterwards.
-  std::vector<std::byte>& out_r = half_scratch_.out_lo;
-  std::vector<std::byte>& out_peer = half_scratch_.out_hi;
-  std::vector<std::byte>& in_r = half_scratch_.in_lo;
-  std::vector<std::byte>& in_peer = half_scratch_.in_hi;
-  out_r.resize(half_bytes);
-  out_peer.resize(half_bytes);
-  in_r.resize(half_bytes);
-  in_peer.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, out_r.data());
-  kern::gather_half(slices_[peer], local_bit, rb, out_peer.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](rank_t from, rank_t to, const std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(from, to, {buf.data() + first, len});
-  };
-  auto land = [&](rank_t from, rank_t to, std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(from, to, {buf.data() + first, len});
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len =
-          std::min(chunk, half_bytes - c * chunk);
-      with_retry(r, peer, 2, 2 * static_cast<std::uint64_t>(len), [&] {
-        ship(r, peer, out_r, c);
-        ship(peer, r, out_peer, c);
-        land(r, peer, in_peer, c);
-        land(peer, r, in_r, c);
-      });
-    }
-  } else {
-    with_retry(r, peer, 2 * static_cast<int>(chunks),
-               2 * static_cast<std::uint64_t>(half_bytes), [&] {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        ship(r, peer, out_r, c);
-        ship(peer, r, out_peer, c);
-      }
-      for (std::size_t c = 0; c < chunks; ++c) {
-        land(r, peer, in_peer, c);
-        land(peer, r, in_r, c);
-      }
-    });
-  }
-
-  kern::scatter_half(slices_[r], local_bit, 1 - rb, in_r.data());
-  kern::scatter_half(slices_[peer], local_bit, rb, in_peer.data());
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full_overlapped(rank_t r, rank_t peer,
-                                                  amp_index align_amps,
-                                                  const RegionFn& combine) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  const amp_index tile =
-      amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_);
-
-  auto send_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count, int tag) {
-    const std::size_t bytes = slices_[from].pack(first, count, scratch_.data());
-    cluster_.send(from, to, {scratch_.data(), bytes}, tag);
-  };
-  auto recv_chunk = [this](rank_t from, rank_t to, amp_index first,
-                           amp_index count, int tag) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(from, to, {scratch_.data(), bytes}, tag);
-    recv_bufs_[to].unpack(first, count, scratch_.data());
-  };
-
-  // Producer side: post every chunk of both directions up front (the
-  // Isend/Irecv posting of the non-blocking path), each tagged with its
-  // chunk index so completion is chunk-granular rather than WaitAll.
-  for (amp_index c = 0; c < chunks; ++c) {
-    const amp_index first = c * chunk_amps;
-    const amp_index count = std::min(chunk_amps, n_local - first);
-    send_chunk(r, peer, first, count, static_cast<int>(c));
-    send_chunk(peer, r, first, count, static_cast<int>(c));
-  }
-  // Consumer side: wait on chunks in index order (per-chunk Waitany) and
-  // let the combine chase the arrival frontier — chunk k is applied while
-  // chunks k+1.. are still queued. A transient fault re-requests only the
-  // failed chunk; the slices' combine regions are untouched at that point,
-  // so a re-pack re-sends identical bytes and replay charges match the
-  // blocking path's per-chunk figures.
-  amp_index next = 0;
-  kern::apply_over_frontier(
-      n_local, align_amps, tile,
-      [&]() -> amp_index {
-        const amp_index c = next++;
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        const int tag = static_cast<int>(c);
-        chunk_retry(
-            r, peer, tag, 2, 2 * count * kBytesPerAmp,
-            [&] {
-              recv_chunk(r, peer, first, count, tag);
-              recv_chunk(peer, r, first, count, tag);
-            },
-            [&] {
-              send_chunk(r, peer, first, count, tag);
-              send_chunk(peer, r, first, count, tag);
-            });
-        return first + count;
-      },
-      combine);
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_overlapped(rank_t r, rank_t peer,
-                                                  int local_bit) {
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-
-  std::vector<std::byte>& out_r = half_scratch_.out_lo;
-  std::vector<std::byte>& out_peer = half_scratch_.out_hi;
-  std::vector<std::byte>& in_r = half_scratch_.in_lo;
-  std::vector<std::byte>& in_peer = half_scratch_.in_hi;
-  out_r.resize(half_bytes);
-  out_peer.resize(half_bytes);
-  in_r.resize(half_bytes);
-  in_peer.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, out_r.data());
-  kern::gather_half(slices_[peer], local_bit, rb, out_peer.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](rank_t from, rank_t to, const std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(from, to, {buf.data() + first, len}, static_cast<int>(c));
-  };
-  auto land = [&](rank_t from, rank_t to, std::vector<std::byte>& buf,
-                  std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(from, to, {buf.data() + first, len}, static_cast<int>(c));
-  };
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ship(r, peer, out_r, c);
-    ship(peer, r, out_peer, c);
-  }
-  // The frontier runs in *bytes* here (a chunk boundary may split an
-  // amplitude across two messages); kBytesPerAmp alignment holds the
-  // scatter back to whole packed amplitudes. The gathered out_* buffers
-  // are immutable during the drain, so a chunk re-send ships identical
-  // bytes.
-  const amp_index tile_bytes =
-      (amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_)) *
-      kBytesPerAmp;
-  std::size_t next = 0;
-  kern::apply_over_frontier(
-      static_cast<amp_index>(half_bytes), kBytesPerAmp, tile_bytes,
-      [&]() -> amp_index {
-        const std::size_t c = next++;
-        const std::size_t first = c * chunk;
-        const std::size_t len = std::min(chunk, half_bytes - first);
-        chunk_retry(
-            r, peer, static_cast<int>(c), 2,
-            2 * static_cast<std::uint64_t>(len),
-            [&] {
-              land(r, peer, in_peer, c);
-              land(peer, r, in_r, c);
-            },
-            [&] {
-              ship(r, peer, out_r, c);
-              ship(peer, r, out_peer, c);
-            });
-        return static_cast<amp_index>(first + len);
-      },
-      [&](amp_index first_b, amp_index count_b) {
-        const amp_index k0 = first_b / kBytesPerAmp;
-        const amp_index kc = count_b / kBytesPerAmp;
-        kern::scatter_half_range(slices_[r], local_bit, 1 - rb, in_r.data(),
-                                 k0, kc);
-        kern::scatter_half_range(slices_[peer], local_bit, rb, in_peer.data(),
-                                 k0, kc);
-      });
-}
-
-template <class S>
-template <class Fn>
-void DistStateVector<S>::exchange_round(rank_t r, rank_t peer, int messages,
-                                        std::uint64_t bytes, Fn&& fn) {
-  if (injector_ == nullptr) {
-    // Fault-free transport gets a single attempt (as in with_retry) and
-    // skips the rendezvous entirely — the hot path has no extra sync.
-    fn();
-    return;
-  }
   const int pair_id = static_cast<int>(std::min(r, peer));
-  const int attempts = opts_.max_retries + 1;
   // Bounds the rendezvous wait: the peer's legitimate latency is at most
-  // one watchdog deadline per message of the round, plus slack. A peer
+  // one watchdog deadline per message of the attempt, plus slack. A peer
   // that died of a non-communication error must not hang its partner.
-  const double rendezvous_s =
-      opts_.recv_deadline_s * (2.0 * messages + 4.0);
+  const double rendezvous_s = opts_.recv_deadline_s * (2.0 * messages + 4.0);
+  auto node_failure = [&](const std::string& why) {
+    return NodeFailure("exchange between ranks " + std::to_string(r) +
+                           " and " + std::to_string(peer) + " " + why,
+                       peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+  };
   for (int a = 0; a < attempts; ++a) {
     bool fail = false;
     bool timed = false;
     bool fatal = false;
     try {
-      fn();
+      attempt(a);
     } catch (const CommTimeout&) {
+      // The watchdog deadline elapsed before the receive gave up: that
+      // wait is real wall time on top of the retry backoff. A checksum
+      // mismatch is detected on arrival and costs no extra wait.
       fail = true;
       timed = true;
-    } catch (const NodeFailure&) {
-      fatal = true;
     } catch (const CommFault&) {
       fail = true;
+    } catch (const NodeFailure&) {
+      if (!rendezvous) {
+        throw;
+      }
+      fatal = true;
     }
-    const RankTeam::PairOutcome out =
-        team_->pair_arrive(pair_id, fail, timed, fatal, rendezvous_s);
-    if (out.any_fatal) {
-      // One side saw a dead rank: both throw, so recovery starts from a
-      // symmetric position (mid-exchange, not at a gate boundary).
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " observed a node failure",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+    if (rendezvous) {
+      const RankTeam::PairOutcome out =
+          team_->pair_arrive(pair_id, fail, timed, fatal, rendezvous_s);
+      if (out.any_fatal) {
+        // One side saw a dead rank: both throw, so recovery starts from a
+        // symmetric position (mid-exchange, not at a gate boundary).
+        throw node_failure("observed a node failure");
+      }
+      fail = out.any_fail;
+      timed = out.any_timed;
     }
-    if (!out.any_fail) {
+    if (!fail) {
       return;
     }
-    // Coordinated retry: the lower rank clears half-delivered messages and
-    // records the pair's single retry charge — the same figures the serial
-    // engine records — then both sides rendezvous again so no re-send can
-    // race the purge.
-    if (r < peer) {
-      cluster_.purge_pair(r, peer);
+    // Clear the half-delivered messages before anything is re-sent, and
+    // record the retry once per pair. On the threaded engine the lower rank
+    // does both, then the pair rendezvous again so no re-send can race the
+    // purge.
+    if (!rendezvous || r < peer) {
+      if (tag == VirtualCluster::kAnyTag) {
+        cluster_.purge_pair(r, peer);
+      } else {
+        // Only this chunk's tag: the exchange's other chunks stay queued as
+        // healthy in-flight traffic, which keeps the retry chunk-granular.
+        cluster_.purge_tag(r, peer, tag);
+      }
       if (a + 1 < attempts) {
         injector_->record_retry(
             bytes, messages,
             opts_.retry_backoff_s * static_cast<double>(1 << a) +
-                (out.any_timed ? opts_.recv_deadline_s : 0.0));
+                (timed ? opts_.recv_deadline_s : 0.0));
       }
     }
-    team_->pair_arrive(pair_id, false, false, false, rendezvous_s);
+    if (rendezvous) {
+      team_->pair_arrive(pair_id, false, false, false, rendezvous_s);
+    }
     if (a + 1 >= attempts) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " abandoned after " +
-              std::to_string(opts_.max_retries) + " retries",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
+      throw node_failure("abandoned after " +
+                         std::to_string(opts_.max_retries) + " retries");
     }
   }
 }
 
 template <class S>
-template <class RecvFn, class ResendFn>
-void DistStateVector<S>::exchange_round_tagged(rank_t r, rank_t peer, int tag,
-                                               int messages,
-                                               std::uint64_t bytes,
-                                               RecvFn&& recv_fn,
-                                               ResendFn&& resend_fn) {
-  if (injector_ == nullptr) {
-    // Fault-free transport gets a single attempt and skips the rendezvous
-    // entirely — the hot path has no extra sync (as in exchange_round).
-    recv_fn();
-    return;
-  }
-  const int pair_id = static_cast<int>(std::min(r, peer));
-  const int attempts = opts_.max_retries + 1;
-  const double rendezvous_s =
-      opts_.recv_deadline_s * (2.0 * messages + 4.0);
-  for (int a = 0; a < attempts; ++a) {
-    bool fail = false;
-    bool timed = false;
-    bool fatal = false;
-    try {
-      if (a > 0) {
-        resend_fn();  // the post-purge re-send of this rank's own chunk
-      }
-      recv_fn();
-    } catch (const CommTimeout&) {
-      fail = true;
-      timed = true;
-    } catch (const NodeFailure&) {
-      fatal = true;
-    } catch (const CommFault&) {
-      fail = true;
-    }
-    const RankTeam::PairOutcome out =
-        team_->pair_arrive(pair_id, fail, timed, fatal, rendezvous_s);
-    if (out.any_fatal) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " observed a node failure",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-    }
-    if (!out.any_fail) {
-      return;
-    }
-    // Coordinated chunk-granular retry: the lower rank purges only this
-    // chunk's tag — the exchange's other chunks stay in flight — and
-    // records the pair's single retry charge (the same one-chunk figures
-    // the serial overlapped engine records). The second rendezvous keeps
-    // any re-send from racing the purge.
-    if (r < peer) {
-      cluster_.purge_tag(r, peer, tag);
-      if (a + 1 < attempts) {
-        injector_->record_retry(
-            bytes, messages,
-            opts_.retry_backoff_s * static_cast<double>(1 << a) +
-                (out.any_timed ? opts_.recv_deadline_s : 0.0));
-      }
-    }
-    team_->pair_arrive(pair_id, false, false, false, rendezvous_s);
-    if (a + 1 >= attempts) {
-      throw NodeFailure(
-          "exchange between ranks " + std::to_string(r) + " and " +
-              std::to_string(peer) + " abandoned after " +
-              std::to_string(opts_.max_retries) + " retries",
-          peer, gates_applied_ == 0 ? 0 : gates_applied_ - 1);
-    }
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full_rank(rank_t r, rank_t peer) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  std::vector<std::byte>& buf = rank_scratch_[static_cast<std::size_t>(r)].msg;
-
-  auto send_chunk = [&](amp_index first, amp_index count) {
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    cluster_.send(r, peer, {buf.data(), bytes});
+void DistStateVector<S>::exchange(rank_t r, rank_t peer, const Payload& p) {
+  // The serial engine drives both pair members, side[0] = r and side[1] =
+  // peer; a rank thread drives side[0] only. A member sends to and
+  // receives from side[1 - s].
+  const bool both = team_ == nullptr;
+  const rank_t side[2] = {r, peer};
+  const int sides = both ? 2 : 1;
+  auto stage = [&](int s) -> Scratch& {
+    return scratch_[static_cast<std::size_t>(both ? s : r)];
   };
-  auto recv_chunk = [&](amp_index first, amp_index count) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(peer, r, {buf.data(), bytes});
-    recv_bufs_[r].unpack(first, count, buf.data());
+  std::byte* const msg = stage(0).msg.data();
+
+  // Chunk geometry in payload units: amplitudes for the full slice, bytes
+  // for the packed half payload (so a chunk boundary may split an
+  // amplitude, which the overlapped frontier re-aligns).
+  const amp_index unit_bytes = p.half ? 1 : kBytesPerAmp;
+  const amp_index total = p.half ? kern::half_payload_bytes(local_amps())
+                                 : local_amps();
+  const amp_index chunk = std::min<amp_index>(
+      total, opts_.max_message_bytes / unit_bytes);
+  const amp_index chunks = (total + chunk - 1) / chunk;
+  const bool overlapped = opts_.policy == CommPolicy::kOverlapped;
+  // Overlapped chunks are tagged with their index, so completion, purge
+  // and re-send are chunk-granular; the other policies send untagged FIFO.
+  auto tag = [&](amp_index c) {
+    return overlapped ? static_cast<int>(c) : VirtualCluster::kAnyTag;
   };
+  auto extent = [&](amp_index c) { return std::min(chunk, total - c * chunk); };
 
-  if (opts_.policy == CommPolicy::kBlocking) {
-    for (amp_index c = 0; c < chunks; ++c) {
-      const amp_index first = c * chunk_amps;
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      // The round totals cover both directions, so one retry is charged
-      // exactly what the serial engine charges for the pair.
-      exchange_round(r, peer, 2, 2 * count * kBytesPerAmp, [&] {
-        send_chunk(first, count);
-        recv_chunk(first, count);
-      });
-    }
-  } else {
-    exchange_round(r, peer, 2 * static_cast<int>(chunks),
-                   2 * n_local * kBytesPerAmp, [&] {
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        send_chunk(first, count);
-      }
-      for (amp_index c = 0; c < chunks; ++c) {
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        recv_chunk(first, count);
-      }
-    });
-  }
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_rank(rank_t r, rank_t peer,
-                                            int local_bit) {
+  // Half payload: each member ships the amplitudes whose local bit
+  // disagrees with its own bit of the distributed target (kernels.hpp).
   const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-  RankScratch& rs = rank_scratch_[static_cast<std::size_t>(r)];
-  rs.half_out.resize(half_bytes);
-  rs.half_in.resize(half_bytes);
-
-  // Each side ships the half whose local bit disagrees with its own high
-  // bit — the same halves the serial engine moves, gathered symmetrically.
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, rs.half_out.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(r, peer, {rs.half_out.data() + first, len});
+      p.half ? bits::log2_exact(static_cast<std::uint64_t>(r ^ peer)) : 0;
+  auto half_value = [&](int s) {
+    return 1 - bits::bit(static_cast<amp_index>(side[s]), high_bit);
   };
-  auto land = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(peer, r, {rs.half_in.data() + first, len});
-  };
-
-  if (opts_.policy == CommPolicy::kBlocking) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = std::min(chunk, half_bytes - c * chunk);
-      exchange_round(r, peer, 2, 2 * static_cast<std::uint64_t>(len), [&] {
-        ship(c);
-        land(c);
-      });
+  if (p.half) {
+    for (int s = 0; s < sides; ++s) {
+      stage(s).half_out.resize(total);
+      stage(s).half_in.resize(total);
+      kern::gather_half(slices_[side[s]], p.local_bit, half_value(s),
+                        stage(s).half_out.data());
     }
-  } else {
-    exchange_round(r, peer, 2 * static_cast<int>(chunks),
-                   2 * static_cast<std::uint64_t>(half_bytes), [&] {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        ship(c);
+  }
+
+  auto post = [&](amp_index c) {
+    const amp_index first = c * chunk;
+    for (int s = 0; s < sides; ++s) {
+      if (p.half) {
+        cluster_.send(side[s], side[1 - s],
+                      {stage(s).half_out.data() + first, extent(c)}, tag(c));
+      } else {
+        const std::size_t bytes = slices_[side[s]].pack(first, extent(c), msg);
+        cluster_.send(side[s], side[1 - s], {msg, bytes}, tag(c));
       }
-      for (std::size_t c = 0; c < chunks; ++c) {
-        land(c);
-      }
-    });
-  }
-
-  kern::scatter_half(slices_[r], local_bit, 1 - rb, rs.half_in.data());
-}
-
-template <class S>
-void DistStateVector<S>::exchange_full_rank_overlapped(
-    rank_t r, rank_t peer, amp_index align_amps, const RegionFn& combine) {
-  const amp_index n_local = local_amps();
-  const amp_index chunk_amps = std::min<amp_index>(
-      n_local, opts_.max_message_bytes / kBytesPerAmp);
-  const amp_index chunks = (n_local + chunk_amps - 1) / chunk_amps;
-  const amp_index tile =
-      amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_);
-  std::vector<std::byte>& buf = rank_scratch_[static_cast<std::size_t>(r)].msg;
-
-  auto send_chunk = [&](amp_index first, amp_index count, int tag) {
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    cluster_.send(r, peer, {buf.data(), bytes}, tag);
-  };
-  auto recv_chunk = [&](amp_index first, amp_index count, int tag) {
-    const std::size_t bytes = count * kBytesPerAmp;
-    cluster_.recv(peer, r, {buf.data(), bytes}, tag);
-    recv_bufs_[r].unpack(first, count, buf.data());
-  };
-
-  // Post this rank's whole chunk stream up front, tagged by chunk index;
-  // the peer's thread posts the mirror stream concurrently.
-  for (amp_index c = 0; c < chunks; ++c) {
-    const amp_index first = c * chunk_amps;
-    const amp_index count = std::min(chunk_amps, n_local - first);
-    send_chunk(first, count, static_cast<int>(c));
-  }
-  // Drain the peer's stream in index order, combining each chunk's region
-  // while the rest is still in flight.
-  amp_index next = 0;
-  kern::apply_over_frontier(
-      n_local, align_amps, tile,
-      [&]() -> amp_index {
-        const amp_index c = next++;
-        const amp_index first = c * chunk_amps;
-        const amp_index count = std::min(chunk_amps, n_local - first);
-        const int tag = static_cast<int>(c);
-        // Round totals cover both directions, so one retry is charged
-        // exactly what the serial overlapped engine charges for the pair.
-        exchange_round_tagged(
-            r, peer, tag, 2, 2 * count * kBytesPerAmp,
-            [&] { recv_chunk(first, count, tag); },
-            [&] { send_chunk(first, count, tag); });
-        return first + count;
-      },
-      combine);
-}
-
-template <class S>
-void DistStateVector<S>::exchange_half_rank_overlapped(rank_t r, rank_t peer,
-                                                       int local_bit) {
-  const int high_bit =
-      bits::log2_exact(static_cast<std::uint64_t>(r ^ peer));
-  const std::size_t half_bytes = kern::half_payload_bytes(local_amps());
-  RankScratch& rs = rank_scratch_[static_cast<std::size_t>(r)];
-  rs.half_out.resize(half_bytes);
-  rs.half_in.resize(half_bytes);
-
-  const int rb = bits::bit(static_cast<amp_index>(r), high_bit);
-  kern::gather_half(slices_[r], local_bit, 1 - rb, rs.half_out.data());
-
-  const std::size_t chunk = std::min(opts_.max_message_bytes, half_bytes);
-  const std::size_t chunks = (half_bytes + chunk - 1) / chunk;
-
-  auto ship = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.send(r, peer, {rs.half_out.data() + first, len},
-                  static_cast<int>(c));
-  };
-  auto land = [&](std::size_t c) {
-    const std::size_t first = c * chunk;
-    const std::size_t len = std::min(chunk, half_bytes - first);
-    cluster_.recv(peer, r, {rs.half_in.data() + first, len},
-                  static_cast<int>(c));
-  };
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ship(c);
-  }
-  const amp_index tile_bytes =
-      (amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_)) *
-      kBytesPerAmp;
-  std::size_t next = 0;
-  kern::apply_over_frontier(
-      static_cast<amp_index>(half_bytes), kBytesPerAmp, tile_bytes,
-      [&]() -> amp_index {
-        const std::size_t c = next++;
-        const std::size_t first = c * chunk;
-        const std::size_t len = std::min(chunk, half_bytes - first);
-        exchange_round_tagged(r, peer, static_cast<int>(c), 2,
-                              2 * static_cast<std::uint64_t>(len),
-                              [&] { land(c); }, [&] { ship(c); });
-        return static_cast<amp_index>(first + len);
-      },
-      [&](amp_index first_b, amp_index count_b) {
-        kern::scatter_half_range(slices_[r], local_bit, 1 - rb,
-                                 rs.half_in.data(), first_b / kBytesPerAmp,
-                                 count_b / kBytesPerAmp);
-      });
-}
-
-template <class S>
-void DistStateVector<S>::apply_distributed_threaded(const Gate& g,
-                                                    const OpPlan& plan) {
-  const amp_index local_ctrl =
-      kern::split_controls(g.controls, local_qubits_).local;
-  // Computed once on the orchestrator: every combine sees identical inputs.
-  Mat2 u{};
-  if (plan.combine == OpPlan::Combine::kMatrix1) {
-    u = gate_matrix2(g);
-  }
-  team_->run(num_ranks(), [&](int ri) {
-    const rank_t r = static_cast<rank_t>(ri);
-    const rank_t peer = static_cast<rank_t>(
-        static_cast<std::uint64_t>(r) ^ plan.rank_xor_mask);
-    // high_mask names control bits, rank_xor_mask target bits; they are
-    // disjoint, so both pair members agree on this participation test.
-    if (!bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      return;  // high controls unsatisfied: the pair is idle
     }
-    const bool overlapped = opts_.policy == CommPolicy::kOverlapped;
-    switch (plan.combine) {
-      case OpPlan::Combine::kMatrix1: {
-        const int row_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (overlapped) {
-          exchange_full_rank_overlapped(
-              r, peer, 1, [&](amp_index first, amp_index count) {
-                kern::combine_matrix1_range(slices_[r], recv_bufs_[r], row_r,
-                                            u, local_ctrl, first, count);
+  };
+  // Receives at the peer first, then at r: under the serial engine's
+  // global message ordinals, which fault surfaces first decides whether
+  // the retry is charged a watchdog deadline.
+  auto complete = [&](amp_index c) {
+    const amp_index first = c * chunk;
+    for (int s = sides - 1; s >= 0; --s) {
+      if (p.half) {
+        cluster_.recv(side[1 - s], side[s],
+                      {stage(s).half_in.data() + first, extent(c)}, tag(c));
+      } else {
+        cluster_.recv(side[1 - s], side[s], {msg, extent(c) * kBytesPerAmp},
+                      tag(c));
+        recv_bufs_[side[s]].unpack(first, extent(c), msg);
+      }
+    }
+  };
+  // Applies the arrived region [first, first + count) (payload units) to
+  // every driven member, r first.
+  auto combine = [&](amp_index first, amp_index count) {
+    for (int s = 0; s < sides; ++s) {
+      if (p.half) {
+        kern::scatter_half_range(slices_[side[s]], p.local_bit,
+                                 half_value(s), stage(s).half_in.data(),
+                                 first / kBytesPerAmp, count / kBytesPerAmp);
+      } else {
+        p.combine(side[s], first, count);
+      }
+    }
+  };
+
+  // Retry charges cover both directions, so a threaded pair records
+  // exactly what the serial engine records.
+  const bool rendezvous = !both;
+  switch (opts_.policy) {
+    case CommPolicy::kBlocking:
+      // QuEST's chain of blocking Sendrecv calls: each chunk completes
+      // before the next is posted, and a fault retries that chunk's round.
+      for (amp_index c = 0; c < chunks; ++c) {
+        retry(r, peer, rendezvous, VirtualCluster::kAnyTag, 2,
+              2 * extent(c) * unit_bytes, [&](int) {
+                post(c);
+                complete(c);
               });
-        } else {
-          exchange_full_rank(r, peer);
-          kern::combine_matrix1(slices_[r], recv_bufs_[r], row_r, u,
-                                local_ctrl);
-        }
-        break;
       }
-      case OpPlan::Combine::kSwapOneHigh: {
-        const int a = g.targets[0];
-        const int bit_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (plan.half_exchange) {
-          if (overlapped) {
-            exchange_half_rank_overlapped(r, peer, a);
-          } else {
-            exchange_half_rank(r, peer, a);
-          }
-        } else if (overlapped) {
-          exchange_full_rank_overlapped(
-              r, peer, amp_index{1} << (a + 1),
-              [&](amp_index first, amp_index count) {
-                kern::combine_swap_one_high_range(slices_[r], recv_bufs_[r],
-                                                  a, bit_r, first, count);
-              });
-        } else {
-          exchange_full_rank(r, peer);
-          kern::combine_swap_one_high(slices_[r], recv_bufs_[r], a, bit_r);
-        }
-        break;
+      combine(0, total);
+      break;
+    case CommPolicy::kNonBlocking:
+      // The paper's rewrite: every Isend/Irecv posted up front, one WaitAll.
+      // A fault fails the WaitAll, so the whole round is re-posted.
+      retry(r, peer, rendezvous, VirtualCluster::kAnyTag,
+            2 * static_cast<int>(chunks), 2 * total * unit_bytes, [&](int) {
+              for (amp_index c = 0; c < chunks; ++c) {
+                post(c);
+              }
+              for (amp_index c = 0; c < chunks; ++c) {
+                complete(c);
+              }
+            });
+      combine(0, total);
+      break;
+    case CommPolicy::kOverlapped: {
+      // Post every chunk up front, then wait on chunks in index order (a
+      // per-chunk Waitany) and let the combine chase the arrival frontier:
+      // chunk k is applied while chunks k+1.. are still queued. A fault
+      // re-sends only the failed chunk. Its combine region is untouched
+      // until it has fully arrived (and the gathered half payload is
+      // immutable), so the re-send ships identical bytes.
+      for (amp_index c = 0; c < chunks; ++c) {
+        post(c);
       }
-      case OpPlan::Combine::kSwapTwoHigh: {
-        const std::uint64_t m = plan.rank_xor_mask;
-        const std::uint64_t rbits = static_cast<std::uint64_t>(r) & m;
-        if (rbits != 0 && rbits != m) {
-          if (overlapped) {
-            exchange_full_rank_overlapped(
-                r, peer, 1, [&](amp_index first, amp_index count) {
-                  kern::combine_swap_two_high_range(slices_[r], recv_bufs_[r],
-                                                    first, count);
-                });
-          } else {
-            exchange_full_rank(r, peer);
-            kern::combine_swap_two_high(slices_[r], recv_bufs_[r]);
-          }
-        }
-        break;
-      }
-      case OpPlan::Combine::kNone:
-        QSV_REQUIRE(false, "distributed plan without a combine kind");
+      // The half payload's frontier runs in bytes: kBytesPerAmp alignment
+      // holds the scatter back to whole packed amplitudes.
+      const amp_index tile =
+          amp_index{1} << std::min(opts_.sweep.tile_qubits, local_qubits_);
+      amp_index next = 0;
+      kern::apply_over_frontier(
+          total, p.half ? kBytesPerAmp : p.align,
+          p.half ? tile * kBytesPerAmp : tile, [&]() -> amp_index {
+            const amp_index c = next++;
+            retry(r, peer, rendezvous, tag(c), 2,
+                  2 * extent(c) * unit_bytes, [&](int attempt) {
+                    if (attempt > 0) {
+                      post(c);
+                    }
+                    complete(c);
+                  });
+            return c * chunk + extent(c);
+          },
+          combine);
+      break;
     }
-  });
-  QSV_REQUIRE(cluster_.quiescent(),
-              "messages left in flight after a distributed gate");
+  }
 }
 
 template <class S>
@@ -959,100 +452,81 @@ double DistStateVector<S>::exchange_numa_ratio(const OpPlan& plan) const {
 
 template <class S>
 void DistStateVector<S>::apply_distributed(const Gate& g, const OpPlan& plan) {
-  const int R = num_ranks();
   const amp_index local_ctrl =
       kern::split_controls(g.controls, local_qubits_).local;
-
-  for (rank_t r = 0; r < R; ++r) {
-    const rank_t peer = static_cast<rank_t>(
-        static_cast<std::uint64_t>(r) ^ plan.rank_xor_mask);
-    if (peer <= r) {
-      continue;  // each pair once
+  // A member's bit of the distributed target: its matrix row, or which
+  // half of a one-high SWAP it keeps.
+  auto high_bit_of = [&](rank_t x) {
+    return bits::bit(static_cast<amp_index>(x), plan.high_bit);
+  };
+  Mat2 u{};
+  Payload p;
+  switch (plan.combine) {
+    case OpPlan::Combine::kMatrix1:
+      // Computed once: every combine sees identical inputs. Elementwise, so
+      // every arrived amplitude is immediately combinable (align 1).
+      u = gate_matrix2(g);
+      p.combine = [&](rank_t x, amp_index first, amp_index count) {
+        kern::combine_matrix1_range(slices_[x], recv_bufs_[x], high_bit_of(x),
+                                    u, local_ctrl, first, count);
+      };
+      break;
+    case OpPlan::Combine::kSwapOneHigh: {
+      const int a = g.targets[0];
+      if (plan.half_exchange) {
+        p.half = true;
+        p.local_bit = a;
+        break;
+      }
+      // The combine reads the partner amplitude flip_bit(i, a), so regions
+      // must be closed under that flip: align 2^(a+1).
+      p.align = amp_index{1} << (a + 1);
+      p.combine = [&, a](rank_t x, amp_index first, amp_index count) {
+        kern::combine_swap_one_high_range(slices_[x], recv_bufs_[x], a,
+                                          high_bit_of(x), first, count);
+      };
+      break;
     }
+    case OpPlan::Combine::kSwapTwoHigh:
+      p.combine = [&](rank_t x, amp_index first, amp_index count) {
+        kern::combine_swap_two_high_range(slices_[x], recv_bufs_[x], first,
+                                          count);
+      };
+      break;
+    case OpPlan::Combine::kNone:
+      QSV_REQUIRE(false, "distributed plan without a combine kind");
+  }
+
+  auto peer_of = [&](rank_t r) {
+    return static_cast<rank_t>(static_cast<std::uint64_t>(r) ^
+                               plan.rank_xor_mask);
+  };
+  // Whether r's pair moves amplitudes. high_mask names control bits and
+  // rank_xor_mask target bits; they are disjoint, so both members agree.
+  auto moves = [&](rank_t r) {
     if (!bits::all_set(static_cast<amp_index>(r), plan.high_mask)) {
-      continue;  // high controls unsatisfied: the pair is idle
+      return false;  // high controls unsatisfied: the pair is idle
     }
-
-    const bool overlapped = opts_.policy == CommPolicy::kOverlapped;
-    switch (plan.combine) {
-      case OpPlan::Combine::kMatrix1: {
-        const Mat2 u = gate_matrix2(g);
-        const int row_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        if (overlapped) {
-          // Elementwise combine: every arrived amplitude is immediately
-          // combinable (align 1).
-          exchange_full_overlapped(
-              r, peer, 1, [&](amp_index first, amp_index count) {
-                kern::combine_matrix1_range(slices_[r], recv_bufs_[r], row_r,
-                                            u, local_ctrl, first, count);
-                kern::combine_matrix1_range(slices_[peer], recv_bufs_[peer],
-                                            1 - row_r, u, local_ctrl, first,
-                                            count);
-              });
-        } else {
-          exchange_full(r, peer);
-          kern::combine_matrix1(slices_[r], recv_bufs_[r], row_r, u,
-                                local_ctrl);
-          kern::combine_matrix1(slices_[peer], recv_bufs_[peer], 1 - row_r, u,
-                                local_ctrl);
-        }
-        break;
+    if (plan.combine == OpPlan::Combine::kSwapTwoHigh) {
+      // Only ranks holding exactly one of the two high bits move.
+      const std::uint64_t m = plan.rank_xor_mask;
+      const std::uint64_t rb = static_cast<std::uint64_t>(r) & m;
+      return rb != 0 && rb != m;
+    }
+    return true;
+  };
+  if (team_ != nullptr) {
+    team_->run(num_ranks(), [&](int ri) {
+      const rank_t r = static_cast<rank_t>(ri);
+      if (moves(r)) {
+        exchange(r, peer_of(r), p);
       }
-      case OpPlan::Combine::kSwapOneHigh: {
-        const int a = g.targets[0];
-        const int bit_r = bits::bit(static_cast<amp_index>(r), plan.high_bit);
-        const int bit_p =
-            bits::bit(static_cast<amp_index>(peer), plan.high_bit);
-        if (plan.half_exchange) {
-          if (overlapped) {
-            exchange_half_overlapped(r, peer, a);
-          } else {
-            exchange_half(r, peer, a);
-          }
-        } else if (overlapped) {
-          // The combine reads the partner amplitude flip_bit(i, a), so
-          // regions must be closed under that flip: align 2^(a+1).
-          exchange_full_overlapped(
-              r, peer, amp_index{1} << (a + 1),
-              [&](amp_index first, amp_index count) {
-                kern::combine_swap_one_high_range(slices_[r], recv_bufs_[r],
-                                                  a, bit_r, first, count);
-                kern::combine_swap_one_high_range(slices_[peer],
-                                                  recv_bufs_[peer], a, bit_p,
-                                                  first, count);
-              });
-        } else {
-          exchange_full(r, peer);
-          kern::combine_swap_one_high(slices_[r], recv_bufs_[r], a, bit_r);
-          kern::combine_swap_one_high(slices_[peer], recv_bufs_[peer], a,
-                                      bit_p);
-        }
-        break;
+    });
+  } else {
+    for (rank_t r = 0; r < num_ranks(); ++r) {
+      if (peer_of(r) > r && moves(r)) {  // each pair once
+        exchange(r, peer_of(r), p);
       }
-      case OpPlan::Combine::kSwapTwoHigh: {
-        // Only rank pairs whose two high bits differ hold moving amplitudes.
-        const std::uint64_t m = plan.rank_xor_mask;
-        const std::uint64_t rb = static_cast<std::uint64_t>(r) & m;
-        if (rb != 0 && rb != m) {
-          // r has exactly one of the two bits set: it pairs with r ^ m.
-          if (overlapped) {
-            exchange_full_overlapped(
-                r, peer, 1, [&](amp_index first, amp_index count) {
-                  kern::combine_swap_two_high_range(slices_[r], recv_bufs_[r],
-                                                    first, count);
-                  kern::combine_swap_two_high_range(
-                      slices_[peer], recv_bufs_[peer], first, count);
-                });
-          } else {
-            exchange_full(r, peer);
-            kern::combine_swap_two_high(slices_[r], recv_bufs_[r]);
-            kern::combine_swap_two_high(slices_[peer], recv_bufs_[peer]);
-          }
-        }
-        break;
-      }
-      case OpPlan::Combine::kNone:
-        QSV_REQUIRE(false, "distributed plan without a combine kind");
     }
   }
   QSV_REQUIRE(cluster_.quiescent(),
@@ -1085,11 +559,7 @@ void DistStateVector<S>::apply(const Gate& g) {
   e.participating_fraction = plan.participating_fraction;
 
   if (plan.locality == GateLocality::kDistributed) {
-    if (team_ != nullptr) {
-      apply_distributed_threaded(g, plan);
-    } else {
-      apply_distributed(g, plan);
-    }
+    apply_distributed(g, plan);
     e.kind = ExecEvent::Kind::kExchange;
     e.bytes_per_rank = plan.exchange_bytes;
     e.messages_per_rank = plan.messages;
@@ -1179,6 +649,7 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
       n_local,
       std::max<amp_index>(1, opts_.max_message_bytes / kBytesPerAmp));
 
+  std::byte* const buf = scratch_[0].msg.data();
   std::vector<S> merged;
   merged.reserve(static_cast<std::size_t>(plan.new_ranks));
   for (int n = 0; n < plan.new_ranks; ++n) {
@@ -1191,18 +662,17 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
     S s(n_local * 2);
     for (amp_index first = 0; first < n_local; first += chunk_amps) {
       const amp_index count = std::min(chunk_amps, n_local - first);
-      slices_[lo].pack(first, count, scratch_.data());
-      s.unpack(first, count, scratch_.data());
+      slices_[lo].pack(first, count, buf);
+      s.unpack(first, count, buf);
     }
     for (amp_index first = 0; first < n_local; first += chunk_amps) {
       const amp_index count = std::min(chunk_amps, n_local - first);
-      const std::size_t bytes =
-          slices_[hi].pack(first, count, scratch_.data());
+      const std::size_t bytes = slices_[hi].pack(first, count, buf);
       if (!dead_pair) {
-        cluster_.send(hi, lo, {scratch_.data(), bytes});
-        cluster_.recv(hi, lo, {scratch_.data(), bytes});
+        cluster_.send(hi, lo, {buf, bytes});
+        cluster_.recv(hi, lo, {buf, bytes});
       }
-      s.unpack(n_local + first, count, scratch_.data());
+      s.unpack(n_local + first, count, buf);
     }
     merged.push_back(std::move(s));
   }
@@ -1217,17 +687,9 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
   for (int r = 0; r < plan.new_ranks; ++r) {
     recv_bufs_.emplace_back(n_merged);
   }
-  scratch_.resize(std::min<std::size_t>(opts_.max_message_bytes,
-                                        n_merged * kBytesPerAmp));
-  if (team_ != nullptr) {
-    // Doubled slices double the packing chunk; the extra workers beyond
-    // new_ranks simply idle in later fork/join regions.
-    const std::size_t new_chunk = std::min<std::size_t>(
-        opts_.max_message_bytes, n_merged * kBytesPerAmp);
-    for (RankScratch& rs : rank_scratch_) {
-      rs.msg.resize(new_chunk);
-    }
-  }
+  // Doubled slices double the packing chunk; the extra rank threads beyond
+  // new_ranks simply idle in later fork/join regions.
+  size_message_scratch();
   return plan;
 }
 
@@ -1251,6 +713,7 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   // the rollback shrink below) cannot race in-flight messages.
   cluster_.grow_to(plan.new_ranks);
 
+  std::byte* const buf = scratch_[0].msg.data();
   std::vector<S> grown;
   grown.resize(static_cast<std::size_t>(plan.new_ranks));
   try {
@@ -1271,26 +734,27 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
       // The low half stays resident on the survivor (new rank 2n).
       for (amp_index first = 0; first < n_half; first += chunk_amps) {
         const amp_index count = std::min(chunk_amps, n_half - first);
-        slices_[static_cast<std::size_t>(n)].pack(first, count,
-                                                  scratch_.data());
-        grown[static_cast<std::size_t>(lo)].unpack(first, count,
-                                                   scratch_.data());
+        slices_[static_cast<std::size_t>(n)].pack(first, count, buf);
+        grown[static_cast<std::size_t>(lo)].unpack(first, count, buf);
       }
       // The absorbed partner half ships to the revived rank 2n+1 through the
       // cluster — CRC-checked end-to-end and retried on transient faults
       // like any exchange, so a corrupted handoff payload is caught and
       // re-sent, never absorbed into the revived slice.
-      with_retry(lo, hi, plan.messages_per_move, plan.bytes_per_move, [&] {
-        for (amp_index first = 0; first < n_half; first += chunk_amps) {
-          const amp_index count = std::min(chunk_amps, n_half - first);
-          const std::size_t bytes = slices_[static_cast<std::size_t>(n)].pack(
-              n_half + first, count, scratch_.data());
-          cluster_.send(lo, hi, {scratch_.data(), bytes});
-          cluster_.recv(lo, hi, {scratch_.data(), bytes});
-          grown[static_cast<std::size_t>(hi)].unpack(first, count,
-                                                     scratch_.data());
-        }
-      });
+      // The orchestrator drives both ends, so no pair rendezvous.
+      retry(lo, hi, /*rendezvous=*/false, VirtualCluster::kAnyTag,
+            plan.messages_per_move, plan.bytes_per_move, [&](int) {
+              for (amp_index first = 0; first < n_half; first += chunk_amps) {
+                const amp_index count = std::min(chunk_amps, n_half - first);
+                const std::size_t bytes =
+                    slices_[static_cast<std::size_t>(n)].pack(n_half + first,
+                                                              count, buf);
+                cluster_.send(lo, hi, {buf, bytes});
+                cluster_.recv(lo, hi, {buf, bytes});
+                grown[static_cast<std::size_t>(hi)].unpack(first, count,
+                                                           buf);
+              }
+            });
     }
   } catch (...) {
     // The movement faulted past the retry budget: restore the narrow
@@ -1309,16 +773,19 @@ GrowBackPlan DistStateVector<S>::grow_back_double() {
   for (int r = 0; r < plan.new_ranks; ++r) {
     recv_bufs_.emplace_back(n_half);
   }
-  scratch_.resize(std::min<std::size_t>(opts_.max_message_bytes,
-                                        n_half * kBytesPerAmp));
-  if (team_ != nullptr) {
-    const std::size_t new_chunk = std::min<std::size_t>(
-        opts_.max_message_bytes, n_half * kBytesPerAmp);
-    for (RankScratch& rs : rank_scratch_) {
-      rs.msg.resize(new_chunk);
-    }
-  }
+  size_message_scratch();
   return plan;
+}
+
+template <class S>
+void DistStateVector<S>::size_message_scratch() {
+  const std::size_t chunk_bytes = std::min<std::size_t>(
+      opts_.max_message_bytes, local_amps() * kBytesPerAmp);
+  // Every rank thread's slot, or the serial engine's single buffer.
+  const std::size_t slots = team_ != nullptr ? scratch_.size() : 1;
+  for (std::size_t i = 0; i < slots; ++i) {
+    scratch_[i].msg.resize(chunk_bytes);
+  }
 }
 
 template <class S>

@@ -176,47 +176,41 @@ class DistStateVector {
   [[nodiscard]] ThreadSummary thread_summary() const;
 
  private:
-  /// Region kernel handed to the overlapped exchange pipeline: applies the
-  /// combine to amplitudes (or packed half-payload amplitudes) in
-  /// [first, first + count).
-  using RegionFn = std::function<void(amp_index first, amp_index count)>;
+  /// What one pairwise exchange streams. A full exchange streams the slice
+  /// in amplitude chunks into recv_bufs_ and then runs `combine`; a half
+  /// exchange (a one-high SWAP under DistOptions::half_exchange_swaps)
+  /// streams the gathered half payload in byte chunks and scatters it back
+  /// into the slice.
+  struct Payload {
+    bool half = false;
+    /// Half payload: the SWAP's local target bit.
+    int local_bit = 0;
+    /// Full payload, overlapped policy: combines run over regions aligned
+    /// to this many amplitudes, closed under the combine's partner reads
+    /// (1 for elementwise combines, 2^(a+1) for a one-local-bit SWAP).
+    amp_index align = 1;
+    /// Full payload: combines pair member `side`'s amplitudes
+    /// [first, first + count) with the ones it received.
+    std::function<void(rank_t side, amp_index first, amp_index count)>
+        combine;
+  };
 
-  void exchange_full(rank_t r, rank_t peer);
-  void exchange_half(rank_t r, rank_t peer, int local_bit);
-  /// Overlapped (CommPolicy::kOverlapped) full-slice exchange: every chunk
-  /// of both directions is posted up front tagged with its chunk index, and
-  /// `combine` is applied to each chunk's region as it lands — while later
-  /// chunks are still in flight. `align_amps` (power of two) holds the
-  /// combine back to regions closed under its partner reads (1 for
-  /// elementwise combines, 2^(a+1) for a one-local-bit SWAP). A transient
-  /// fault purges and re-requests only the failed chunk. Application order
-  /// (chunk 0, 1, ...) and per-amplitude arithmetic mirror the serial path
-  /// exactly, so the result is bitwise identical.
-  void exchange_full_overlapped(rank_t r, rank_t peer, amp_index align_amps,
-                                const RegionFn& combine);
-  /// Overlapped half-slice SWAP exchange (serial engine): the packed half
-  /// payloads stream chunk by chunk and each chunk is scattered into both
-  /// slices on arrival.
-  void exchange_half_overlapped(rank_t r, rank_t peer, int local_bit);
+  /// Pair dispatcher for every distributed gate: maps the plan's combine
+  /// kind to a payload, its alignment and its region kernel, then runs
+  /// exchange() for every pair that moves amplitudes — each pair once on
+  /// the serial engine, each rank on its own thread on the threaded one.
   void apply_distributed(const Gate& g, const OpPlan& plan);
-  /// Symmetric per-rank form of apply_distributed: each rank thread sends
-  /// its own chunks, blocks on its peer's, and runs its own combine.
-  void apply_distributed_threaded(const Gate& g, const OpPlan& plan);
-  /// Rank `r`'s side of a full-slice exchange with `peer` (threaded engine;
-  /// the peer's thread runs the mirror-image call concurrently).
-  void exchange_full_rank(rank_t r, rank_t peer);
-  /// Rank `r`'s side of a half-slice SWAP exchange (threaded engine).
-  void exchange_half_rank(rank_t r, rank_t peer, int local_bit);
-  /// Rank `r`'s side of an overlapped full-slice exchange (threaded
-  /// engine): posts its own tagged chunks, then combines each arriving peer
-  /// chunk while its successors are still in flight. Chunk-granular retry
-  /// is coordinated through the pair rendezvous like exchange_round, but
-  /// purges only the failed chunk's tag.
-  void exchange_full_rank_overlapped(rank_t r, rank_t peer,
-                                     amp_index align_amps,
-                                     const RegionFn& combine);
-  /// Rank `r`'s side of an overlapped half-slice SWAP exchange (threaded).
-  void exchange_half_rank_overlapped(rank_t r, rank_t peer, int local_bit);
+  /// The exchange core every distributed gate runs (docs/COMMS.md): a
+  /// chunk schedule with a *post* phase (pack a chunk or slice the gathered
+  /// half payload, then send) and a *complete* phase (receive and unpack,
+  /// then combine or scatter). The comm policy picks only the order and the
+  /// retry unit: blocking posts and completes each chunk in turn,
+  /// non-blocking posts everything then completes everything, overlapped
+  /// posts everything then completes in frontier order while earlier
+  /// regions combine. The serial engine runs each phase over both pair
+  /// members (posts r->peer then peer->r, completes at peer then at r); a
+  /// rank thread runs its own side.
+  void exchange(rank_t r, rank_t peer, const Payload& p);
   /// Measured NUMA ratio for this exchange: numa_ratio_ when any
   /// participating pair spans domains under the placement plan, else 1.0.
   [[nodiscard]] double exchange_numa_ratio(const OpPlan& plan) const;
@@ -227,37 +221,20 @@ class DistStateVector {
   /// planned failure fires at this index, and applies any silent bitflips
   /// due at it (kBitFlip specs corrupt resident memory, not messages).
   void tick_gate();
-  /// Runs `fn` (one exchange round) with bounded retry on transient comm
-  /// faults; `messages`/`bytes` are what one re-send costs.
+  /// Retry driver for every exchange and the grow-back handoff: runs
+  /// `attempt(a)` for a = 0, 1, ... with bounded retry on transient comm
+  /// faults. A failed attempt purges the pair's messages carrying `tag`
+  /// (all of them for kAnyTag) and records one retry charged
+  /// `messages`/`bytes` plus backoff. With `rendezvous` (a rank thread
+  /// running its own side) both pair members share each attempt's outcome
+  /// through RankTeam::pair_arrive, so they retry or throw together and the
+  /// lower rank purges and records the pair's single charge — the figures
+  /// the serial engine records.
   template <class Fn>
-  void with_retry(rank_t r, rank_t peer, int messages, std::uint64_t bytes,
-                  Fn&& fn);
-  /// Chunk-granular counterpart of with_retry for the overlapped pipeline
-  /// (serial engine): `recv_fn` receives one tagged chunk; on a transient
-  /// fault only that chunk's tag is purged and `resend_fn` re-posts just
-  /// that chunk before the next attempt. `messages`/`bytes` are the
-  /// one-chunk re-send cost, so retries replay exactly the charges a
-  /// blocking per-chunk retry would.
-  template <class RecvFn, class ResendFn>
-  void chunk_retry(rank_t r, rank_t peer, int tag, int messages,
-                   std::uint64_t bytes, RecvFn&& recv_fn,
-                   ResendFn&& resend_fn);
-  /// Threaded counterpart of with_retry: both pair members run their side
-  /// of the round, rendezvous on the combined outcome, and retry (or throw)
-  /// symmetrically. The lower rank purges the pair and records the single
-  /// retry charge — the same figures the serial engine would record.
-  template <class Fn>
-  void exchange_round(rank_t r, rank_t peer, int messages,
-                      std::uint64_t bytes, Fn&& fn);
-  /// Chunk-granular counterpart of exchange_round (threaded engine): both
-  /// pair members run their side of one tagged chunk, rendezvous on the
-  /// outcome, and on failure the lower rank purges only that chunk's tag
-  /// (and records the pair's single retry charge) before both re-send their
-  /// own chunk via `resend_fn` and retry `recv_fn`.
-  template <class RecvFn, class ResendFn>
-  void exchange_round_tagged(rank_t r, rank_t peer, int tag, int messages,
-                             std::uint64_t bytes, RecvFn&& recv_fn,
-                             ResendFn&& resend_fn);
+  void retry(rank_t r, rank_t peer, bool rendezvous, int tag, int messages,
+             std::uint64_t bytes, Fn&& attempt);
+  /// Resizes every message buffer to one chunk at the current slice width.
+  void size_message_scratch();
 
   int num_qubits_;
   int local_qubits_;
@@ -265,23 +242,19 @@ class DistStateVector {
   VirtualCluster cluster_;
   std::vector<S> slices_;       // one per rank
   std::vector<S> recv_bufs_;    // the doubling MPI buffers
-  std::vector<std::byte> scratch_;  // packing area for one message
-  /// Pooled half-exchange scratch, reused across exchanges instead of four
-  /// per-call heap allocations (grown on first half-exchange).
-  struct HalfScratch {
-    std::vector<std::byte> out_lo, out_hi, in_lo, in_hi;
-  };
-  HalfScratch half_scratch_;
   /// Ranks-as-threads runtime (null on the serial engine).
   std::unique_ptr<RankTeam> team_;
-  /// Per-rank scratch for the threaded engine: each rank thread packs into
-  /// its own message buffer and half-exchange staging area (the shared
-  /// scratch_/half_scratch_ above serve the serial engine only).
-  struct RankScratch {
+  /// Exchange staging: the packing area for one message and the pooled
+  /// half-payload buffers (grown on the first half exchange, then reused).
+  struct Scratch {
     std::vector<std::byte> msg;
     std::vector<std::byte> half_out, half_in;
   };
-  std::vector<RankScratch> rank_scratch_;
+  /// One slot per rank thread, each first-touched by its thread. The serial
+  /// engine keeps two, one per member of the pair being exchanged, and only
+  /// slot 0 holds a message buffer: it packs one message at a time. Slot
+  /// 0's message buffer also serves the re-shards on the orchestrator.
+  std::vector<Scratch> scratch_;
   /// Measured (or configured) local-vs-remote bandwidth ratio; 1.0 on
   /// single-domain hosts, so exchange pricing is unchanged there.
   double numa_ratio_ = 1.0;

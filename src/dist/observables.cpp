@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 #include "common/bits.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace qsv {
@@ -207,6 +209,21 @@ real_t expectation(const DistStateVector<S>& sv, const PauliSum& sum) {
   return acc;
 }
 
+template <class S>
+std::string state_digest(const DistStateVector<S>& sv) {
+  Crc32 crc;
+  for (amp_index g = 0; g < (amp_index{1} << sv.num_qubits()); ++g) {
+    const cplx a = sv.amplitude(g);
+    const double re = a.real();
+    const double im = a.imag();
+    crc.update(&re, sizeof re);
+    crc.update(&im, sizeof im);
+  }
+  char digest[16];
+  std::snprintf(digest, sizeof digest, "%08x", crc.value());
+  return digest;
+}
+
 // Explicit instantiations for both layouts.
 template cplx pauli_bracket<SoaStorage>(const BasicStateVector<SoaStorage>&,
                                         const PauliTerm&);
@@ -228,5 +245,10 @@ template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
                                         const PauliSum&);
 template real_t expectation<AosStorage>(const DistStateVector<AosStorage>&,
                                         const PauliSum&);
+
+template std::string state_digest<SoaStorage>(
+    const DistStateVector<SoaStorage>&);
+template std::string state_digest<AosStorage>(
+    const DistStateVector<AosStorage>&);
 
 }  // namespace qsv

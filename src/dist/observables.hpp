@@ -1,7 +1,8 @@
 // Pauli-string observables: <psi| P |psi> for tensor products of
 // {I, X, Y, Z}, and weighted sums of them (Hamiltonians). QuEST exposes the
 // same surface (calcExpecPauliProd / calcExpecPauliSum); examples use it to
-// read physics out of simulations without collapsing the state.
+// read physics out of simulations without collapsing the state. The
+// `state crc32` digest of a distributed state lives here too.
 #pragma once
 
 #include <string>
@@ -61,6 +62,13 @@ template <class S>
 template <class S>
 [[nodiscard]] real_t expectation(const DistStateVector<S>& sv,
                                  const PauliSum& sum);
+
+/// The `state crc32` digest: CRC-32 over the (re, im) doubles of every
+/// amplitude in global amplitude order, as eight lowercase hex digits.
+/// Layout-independent, so it matches across rank counts, engines and
+/// recovery tiers; `qsv run` prints it and `qsv serve` returns it.
+template <class S>
+[[nodiscard]] std::string state_digest(const DistStateVector<S>& sv);
 
 /// Raw complex bracket <sv| term |sv> (coefficient applied).
 template <class S>

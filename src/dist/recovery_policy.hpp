@@ -3,7 +3,7 @@
 //   detection source          response                         bounded by
 //   ------------------------  -------------------------------  -----------
 //   message CRC mismatch      re-exchange with backoff          max_retries
-//   (CommCorrupt)             (engine's with_retry, PR 2 path)
+//   (CommCorrupt)             (the engine's retry driver)
 //   receive watchdog timeout  re-exchange; the elapsed          max_retries
 //   (CommTimeout)             deadline is charged as wait
 //   invariant guard           rollback to the last verified     max_rollbacks

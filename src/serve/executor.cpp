@@ -1,10 +1,8 @@
 #include "serve/executor.hpp"
 
-#include <cstdio>
-
 #include "cluster/faults.hpp"
-#include "common/crc32.hpp"
 #include "dist/dist_statevector.hpp"
+#include "dist/observables.hpp"
 #include "dist/recovery_policy.hpp"
 #include "dist/trace.hpp"
 #include "perf/cost_model.hpp"
@@ -14,22 +12,6 @@
 
 namespace qsv::serve {
 namespace {
-
-/// Layout-independent CRC-32 of the final state in global amplitude order —
-/// byte-for-byte the digest `qsv run` prints as `state crc32:`.
-std::string state_digest(const DistStateVector<SoaStorage>& sv) {
-  Crc32 crc;
-  for (amp_index g = 0; g < (amp_index{1} << sv.num_qubits()); ++g) {
-    const cplx a = sv.amplitude(g);
-    const double re = a.real();
-    const double im = a.imag();
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-  }
-  char digest[16];
-  std::snprintf(digest, sizeof digest, "%08x", crc.value());
-  return digest;
-}
 
 /// Prices the applied prefix [0, gates_done) of the plan's circuit on the
 /// trace engine — the partial cost a deadline-cancelled job still reports.

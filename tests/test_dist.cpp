@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "dist/observables.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -239,6 +240,31 @@ TEST(Dist, DistributedUnitary2MatchesSingle) {
   d.apply(one_high);
   d.apply(two_high);
   EXPECT_LT(ref.max_amp_diff(d.gather()), 1e-12);
+}
+
+TEST(Dist, StateDigestIsIndependentOfRanksAndEngine) {
+  // `state crc32` hashes amplitudes in global order, so neither the rank
+  // count nor the engine enters it.
+  const Circuit c = build_qft(6);
+  StateVector ref(6);
+  Rng rng(11);
+  ref.init_random_state(rng);
+  std::string want;
+  for (int ranks : {1, 2, 4}) {
+    for (int threads : {0, ranks}) {
+      DistOptions o = small_msgs();
+      o.threading.threads = threads;
+      DistStateVectorSoa sv(6, ranks, o);
+      sv.init_from(ref);
+      sv.apply(c);
+      const std::string digest = state_digest(sv);
+      EXPECT_EQ(digest.size(), 8u);
+      if (want.empty()) {
+        want = digest;
+      }
+      EXPECT_EQ(digest, want) << ranks << " ranks, " << threads << " threads";
+    }
+  }
 }
 
 TEST(Dist, AosLayoutMatchesSoa) {

@@ -195,7 +195,7 @@ TEST(GrowBack, ThreadedEngineRefusesToGrowBeyondConstructedWidth) {
 
 TEST(GrowBack, CorruptedHandoffIsCaughtByCrcAndRetried) {
   // A bitflip in a handoff payload: the per-message CRC catches it and the
-  // engine's with_retry re-sends, so the grown state is still exact.
+  // engine's retry driver re-sends, so the grown state is still exact.
   const Circuit c = elastic_circuit();
   DistStateVector<SoaStorage> clean(6, 4);
   clean.apply(c);

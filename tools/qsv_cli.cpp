@@ -36,7 +36,6 @@
 //   6  deadline exceeded (--deadline-s elapsed; the run was cancelled at a
 //      gate boundary and the partial cost was reported)
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -52,7 +51,6 @@
 #include "circuit/transpile/greedy_cache_blocking.hpp"
 #include "common/args.hpp"
 #include "common/bits.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/csv.hpp"
@@ -410,19 +408,7 @@ int cmd_run(int argc, const char* const* argv) {
   // Layout-independent digest of the final state (global amplitude order,
   // so it matches across rank counts — including after a shrink). The
   // determinism checker diffs this line across repeated faulted runs.
-  {
-    Crc32 crc;
-    for (amp_index g = 0; g < (amp_index{1} << c.num_qubits()); ++g) {
-      const cplx a = sv.amplitude(g);
-      const double re = a.real();
-      const double im = a.imag();
-      crc.update(&re, sizeof re);
-      crc.update(&im, sizeof im);
-    }
-    char digest[16];
-    std::snprintf(digest, sizeof digest, "%08x", crc.value());
-    std::cout << "state crc32: " << digest << "\n";
-  }
+  std::cout << "state crc32: " << state_digest(sv) << "\n";
   // Degraded completion: the run finished and the digest above is valid,
   // but at fewer ranks than planned — a shrink that never grew back.
   // Scripts key off the documented exit code 3 and this line.
