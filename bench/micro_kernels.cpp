@@ -7,10 +7,18 @@
 // names it. Unsupported backends are skipped on this host, not failed.
 // JSON output comes from google-benchmark itself:
 //   micro_kernels --benchmark_out=kernels.json --benchmark_out_format=json
+//
+// BM_ParCrossover and BM_ParReduce calibrate the constants of the parallel
+// layer (common/par.hpp, docs/THREADING.md):
+//   micro_kernels --benchmark_filter=BM_Par
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "circuit/gate.hpp"
 #include "circuit/matrix.hpp"
+#include "common/par.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/statevector.hpp"
@@ -170,6 +178,64 @@ void BM_GatherHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherHalf<SoaStorage>);
 BENCHMARK(BM_GatherHalf<AosStorage>);
+
+/// One memory-bound loop over 2^k amplitudes: a Hadamard on the top qubit
+/// of a split re/im register (contiguous pair halves, as the vector
+/// backends stream them). Second argument 0 runs it on the calling thread,
+/// 1 splits it across the full width with no grain. par::kAmpGrain is the
+/// per-thread share where the split starts to win.
+void BM_ParCrossover(benchmark::State& state) {
+  const std::int64_t n = std::int64_t{1} << state.range(0);
+  const std::int64_t h = n / 2;
+  const bool split = state.range(1) != 0;
+  std::vector<real_t> re(static_cast<std::size_t>(n), 0.5);
+  std::vector<real_t> im(static_cast<std::size_t>(n), 0.25);
+  const real_t c = 0.7071067811865476;
+  for (auto _ : state) {
+    par::for_range(h, split ? 1 : h, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t k = lo; k < hi; ++k) {
+        const real_t a0r = re[k], a0i = im[k];
+        const real_t a1r = re[k + h], a1i = im[k + h];
+        re[k] = c * (a0r + a1r);
+        im[k] = c * (a0i + a1i);
+        re[k + h] = c * (a0r - a1r);
+        im[k + h] = c * (a0i - a1i);
+      }
+    });
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(split ? "split w=" + std::to_string(par::width()) : "serial");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
+                          static_cast<std::int64_t>(2 * kBytesPerAmp));
+}
+BENCHMARK(BM_ParCrossover)
+    ->ArgsProduct({benchmark::CreateDenseRange(10, 20, 1), {0, 1}});
+
+/// A norm over 2^k amplitudes: argument 0 is the plain serial loop,
+/// 1 is par::reduce (kReduceBlock blocks, kAmpGrain grain, full width).
+/// Small registers show what the blocking costs, large ones what it buys.
+void BM_ParReduce(benchmark::State& state) {
+  const std::int64_t n = std::int64_t{1} << state.range(0);
+  std::vector<real_t> x(static_cast<std::size_t>(n), 1e-3);
+  const auto block_sum = [&](std::int64_t lo, std::int64_t hi) {
+    real_t s = 0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      s += x[static_cast<std::size_t>(i)] * x[static_cast<std::size_t>(i)];
+    }
+    return s;
+  };
+  for (auto _ : state) {
+    const real_t s = state.range(1) == 0
+                         ? block_sum(0, n)
+                         : par::reduce(n, par::kAmpGrain, block_sum);
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetLabel(state.range(1) == 0 ? "serial loop" : "par::reduce");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
+                          static_cast<std::int64_t>(sizeof(real_t)));
+}
+BENCHMARK(BM_ParReduce)
+    ->ArgsProduct({{10, 12, 14, 16, 18, 20, 22}, {0, 1}});
 
 }  // namespace
 }  // namespace qsv

@@ -4,17 +4,12 @@
 #include <chrono>
 
 #include "common/error.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "common/par.hpp"
 
 namespace qsv {
 
-RankTeam::RankTeam(int num_workers, PlacementPlan plan,
-                   int omp_threads_per_worker)
-    : plan_(std::move(plan)),
-      omp_threads_per_worker_(omp_threads_per_worker) {
+RankTeam::RankTeam(int num_workers, PlacementPlan plan)
+    : plan_(std::move(plan)) {
   QSV_REQUIRE(num_workers >= 1, "rank team needs at least one worker");
   QSV_REQUIRE(plan_.domain_of_rank.size() >=
                   static_cast<std::size_t>(num_workers),
@@ -24,11 +19,12 @@ RankTeam::RankTeam(int num_workers, PlacementPlan plan,
   for (auto& slot : pair_slots_) {
     slot = std::make_unique<PairSlot>();
   }
+  const int width = par::share(num_workers);
   threads_.reserve(static_cast<std::size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
+    threads_.emplace_back([this, w, width] { worker_main(w, width); });
   }
-  // Wait for every worker to finish its init (pinning, OpenMP width) so
+  // Wait for every worker to finish its init (pinning, compute width) so
   // pinned() is final once construction returns and first-touch work
   // dispatched immediately after lands on already-placed threads.
   std::unique_lock<std::mutex> lk(m_);
@@ -46,20 +42,14 @@ RankTeam::~RankTeam() {
   }
 }
 
-void RankTeam::worker_main(int index) {
+void RankTeam::worker_main(int index, int width) {
   bool did_pin = false;
   if (!plan_.cpu_of_rank.empty() &&
       static_cast<std::size_t>(index) < plan_.cpu_of_rank.size()) {
     did_pin =
         pin_current_thread(plan_.cpu_of_rank[static_cast<std::size_t>(index)]);
   }
-#ifdef _OPENMP
-  if (omp_threads_per_worker_ > 0) {
-    // Per-thread ICV: nested parallel regions opened by this worker's
-    // kernels get its share of the machine, not the whole of it.
-    omp_set_num_threads(omp_threads_per_worker_);
-  }
-#endif
+  par::set_width(width);
   std::uint64_t seen = 0;
   {
     std::lock_guard<std::mutex> lk(m_);

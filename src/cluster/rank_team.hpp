@@ -36,12 +36,10 @@ namespace qsv {
 class RankTeam {
  public:
   /// Spawns `num_workers` threads placed per `plan` (workers pin themselves
-  /// where the plan names CPUs; failures are recorded, not fatal).
-  /// `omp_threads_per_worker` caps each worker's nested OpenMP width so
-  /// rank-parallel kernels do not oversubscribe the machine; <= 0 leaves
-  /// the OpenMP default untouched.
-  RankTeam(int num_workers, PlacementPlan plan,
-           int omp_threads_per_worker = 0);
+  /// where the plan names CPUs; failures are recorded, not fatal). Each
+  /// worker's compute width is par::share(num_workers) of the constructing
+  /// thread's, so rank-parallel kernels do not oversubscribe the machine.
+  RankTeam(int num_workers, PlacementPlan plan);
   ~RankTeam();
 
   RankTeam(const RankTeam&) = delete;
@@ -77,12 +75,11 @@ class RankTeam {
                           double timeout_s = 0);
 
  private:
-  void worker_main(int index);
+  void worker_main(int index, int width);
 
   PlacementPlan plan_;
   std::vector<std::thread> threads_;
   int pinned_ = 0;
-  int omp_threads_per_worker_ = 0;
 
   // Fork/join state: a generation counter publishes jobs; workers with
   // index < job_count_ execute and report back through done_.

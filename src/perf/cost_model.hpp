@@ -23,8 +23,9 @@ struct PowerSample {
 
 class CostModel final : public ExecListener {
  public:
-  /// `machine` and `job` must outlive the model. The job's node count must
-  /// equal the engine's rank count (one rank per node, as in the paper).
+  /// The model keeps its own copy of `machine`, so a temporary such as
+  /// `CostModel(archer2(), job)` is safe. The job's node count must equal
+  /// the engine's rank count (one rank per node, as in the paper).
   CostModel(const MachineModel& machine, JobConfig job);
 
   void on_event(const ExecEvent& e) override;
@@ -48,7 +49,7 @@ class CostModel final : public ExecListener {
                     double stall_t);
   void sample(MachineModel::Phase phase, double duration, double node_watts);
 
-  const MachineModel& machine_;
+  MachineModel machine_;
   JobConfig job_;
   RunReport acc_;
   bool record_timeline_ = false;

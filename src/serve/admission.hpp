@@ -64,6 +64,8 @@ class AdmissionController {
   AdmissionController(const MachineModel& machine, AdmissionLimits limits,
                       PlanCache& cache)
       : machine_(machine), limits_(limits), cache_(cache) {}
+  /// The machine is held by reference: a temporary would dangle.
+  AdmissionController(MachineModel&&, AdmissionLimits, PlanCache&) = delete;
 
   /// Decides one request. Throws qsv::Error subtypes on malformed circuit
   /// text (the caller maps those to typed error responses); returns

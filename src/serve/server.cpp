@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/par.hpp"
 #include "serve/executor.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -113,9 +114,15 @@ void Server::start() {
   }
 
   started_.store(true);
-  workers_.reserve(static_cast<std::size_t>(std::max(1, opts_.workers)));
-  for (int w = 0; w < std::max(1, opts_.workers); ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+  const int workers = std::max(1, opts_.workers);
+  // Concurrent jobs split the machine: each worker's kernels get its share.
+  const int width = par::share(workers);
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    workers_.emplace_back([this, width] {
+      par::set_width(width);
+      worker_loop();
+    });
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
 }

@@ -50,7 +50,9 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// `machine` must outlive the server (it is held by reference).
   Server(const MachineModel& machine, ServerOptions opts);
+  Server(MachineModel&&, ServerOptions) = delete;
   ~Server();
 
   Server(const Server&) = delete;

@@ -18,6 +18,9 @@
 // Anything without a vector path here (control masks on dense kernels, tiny
 // spans, low swap/matrix2 strides, and the whole interleaved AoS layout,
 // which split lanes do not fit) forwards to the scalar backend's entry.
+//
+// Loops split across threads with for_amps over whole vector groups, so a
+// thread's range never splits a vector.
 #include <immintrin.h>
 
 #include "common/bits.hpp"
@@ -80,73 +83,69 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   const BMat2 b = broadcast2(u);
 
   if (target >= 2) {
+    // Groups of 4 pairs; a stride >= 4 keeps every run a multiple of 4.
     const int64_t stride = int64_t{1} << target;
-    const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; off += 4) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const v4d a0r = _mm256_loadu_pd(re + i0);
-        const v4d a0i = _mm256_loadu_pd(im + i0);
-        const v4d a1r = _mm256_loadu_pd(re + i1);
-        const v4d a1i = _mm256_loadu_pd(im + i1);
-        v4d n0r, n0i, n1r, n1i;
-        mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-        _mm256_storeu_pd(re + i0, n0r);
-        _mm256_storeu_pd(im + i0, n0i);
-        _mm256_storeu_pd(re + i1, n1r);
-        _mm256_storeu_pd(im + i1, n1i);
-      }
-    }
+    for_amps(s.n, 8, [&](int64_t lo, int64_t hi) {
+      for_pair_runs(lo / 2, hi / 2, stride, [&](int64_t first, int64_t len) {
+        for (int64_t i0 = first; i0 < first + len; i0 += 4) {
+          const int64_t i1 = i0 + stride;
+          const v4d a0r = _mm256_loadu_pd(re + i0);
+          const v4d a0i = _mm256_loadu_pd(im + i0);
+          const v4d a1r = _mm256_loadu_pd(re + i1);
+          const v4d a1i = _mm256_loadu_pd(im + i1);
+          v4d n0r, n0i, n1r, n1i;
+          mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+          _mm256_storeu_pd(re + i0, n0r);
+          _mm256_storeu_pd(im + i0, n0i);
+          _mm256_storeu_pd(re + i1, n1r);
+          _mm256_storeu_pd(im + i1, n1i);
+        }
+      });
+    });
     return;
   }
 
   // target 0 or 1: pairs interleave inside each 8-amplitude group. Split
   // them with shuffles, compute, and shuffle back (self-inverse patterns).
   const bool adjacent = target == 0;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
-    const v4d Ar = _mm256_loadu_pd(re + base);
-    const v4d Br = _mm256_loadu_pd(re + base + 4);
-    const v4d Ai = _mm256_loadu_pd(im + base);
-    const v4d Bi = _mm256_loadu_pd(im + base + 4);
-    v4d a0r, a1r, a0i, a1i;
-    if (adjacent) {  // target 0: even/odd split
-      a0r = _mm256_unpacklo_pd(Ar, Br);
-      a1r = _mm256_unpackhi_pd(Ar, Br);
-      a0i = _mm256_unpacklo_pd(Ai, Bi);
-      a1i = _mm256_unpackhi_pd(Ai, Bi);
-    } else {  // target 1: 128-bit halves alternate
-      a0r = _mm256_permute2f128_pd(Ar, Br, 0x20);
-      a1r = _mm256_permute2f128_pd(Ar, Br, 0x31);
-      a0i = _mm256_permute2f128_pd(Ai, Bi, 0x20);
-      a1i = _mm256_permute2f128_pd(Ai, Bi, 0x31);
+  for_amps(s.n, 8, [&](int64_t lo, int64_t hi) {
+    for (int64_t base = lo; base < hi; base += 8) {
+      const v4d Ar = _mm256_loadu_pd(re + base);
+      const v4d Br = _mm256_loadu_pd(re + base + 4);
+      const v4d Ai = _mm256_loadu_pd(im + base);
+      const v4d Bi = _mm256_loadu_pd(im + base + 4);
+      v4d a0r, a1r, a0i, a1i;
+      if (adjacent) {  // target 0: even/odd split
+        a0r = _mm256_unpacklo_pd(Ar, Br);
+        a1r = _mm256_unpackhi_pd(Ar, Br);
+        a0i = _mm256_unpacklo_pd(Ai, Bi);
+        a1i = _mm256_unpackhi_pd(Ai, Bi);
+      } else {  // target 1: 128-bit halves alternate
+        a0r = _mm256_permute2f128_pd(Ar, Br, 0x20);
+        a1r = _mm256_permute2f128_pd(Ar, Br, 0x31);
+        a0i = _mm256_permute2f128_pd(Ai, Bi, 0x20);
+        a1i = _mm256_permute2f128_pd(Ai, Bi, 0x31);
+      }
+      v4d n0r, n0i, n1r, n1i;
+      mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+      v4d Cr, Dr, Ci, Di;
+      if (adjacent) {
+        Cr = _mm256_unpacklo_pd(n0r, n1r);
+        Dr = _mm256_unpackhi_pd(n0r, n1r);
+        Ci = _mm256_unpacklo_pd(n0i, n1i);
+        Di = _mm256_unpackhi_pd(n0i, n1i);
+      } else {
+        Cr = _mm256_permute2f128_pd(n0r, n1r, 0x20);
+        Dr = _mm256_permute2f128_pd(n0r, n1r, 0x31);
+        Ci = _mm256_permute2f128_pd(n0i, n1i, 0x20);
+        Di = _mm256_permute2f128_pd(n0i, n1i, 0x31);
+      }
+      _mm256_storeu_pd(re + base, Cr);
+      _mm256_storeu_pd(re + base + 4, Dr);
+      _mm256_storeu_pd(im + base, Ci);
+      _mm256_storeu_pd(im + base + 4, Di);
     }
-    v4d n0r, n0i, n1r, n1i;
-    mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-    v4d Cr, Dr, Ci, Di;
-    if (adjacent) {
-      Cr = _mm256_unpacklo_pd(n0r, n1r);
-      Dr = _mm256_unpackhi_pd(n0r, n1r);
-      Ci = _mm256_unpacklo_pd(n0i, n1i);
-      Di = _mm256_unpackhi_pd(n0i, n1i);
-    } else {
-      Cr = _mm256_permute2f128_pd(n0r, n1r, 0x20);
-      Dr = _mm256_permute2f128_pd(n0r, n1r, 0x31);
-      Ci = _mm256_permute2f128_pd(n0i, n1i, 0x20);
-      Di = _mm256_permute2f128_pd(n0i, n1i, 0x31);
-    }
-    _mm256_storeu_pd(re + base, Cr);
-    _mm256_storeu_pd(re + base + 4, Dr);
-    _mm256_storeu_pd(im + base, Ci);
-    _mm256_storeu_pd(im + base + 4, Di);
-  }
+  });
 }
 
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
@@ -168,36 +167,35 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
       ui[r][c] = _mm256_set1_pd(u.m[r][c].imag());
     }
   }
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; k += 4) {
-    // lo >= 2: the 4 consecutive quad counters share one contiguous base.
-    const int64_t base = static_cast<int64_t>(
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi));
-    int64_t idx[4];
-    v4d inr[4], ini[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      idx[sub] = base + ((sub & 1) ? sa : 0) + ((sub & 2) ? sb : 0);
-      inr[sub] = _mm256_loadu_pd(re + idx[sub]);
-      ini[sub] = _mm256_loadu_pd(im + idx[sub]);
-    }
-    for (int row = 0; row < 4; ++row) {
-      v4d accr = _mm256_setzero_pd();
-      v4d acci = _mm256_setzero_pd();
-      for (int col = 0; col < 4; ++col) {
-        accr = _mm256_add_pd(
-            accr, _mm256_sub_pd(_mm256_mul_pd(ur[row][col], inr[col]),
-                                _mm256_mul_pd(ui[row][col], ini[col])));
-        acci = _mm256_add_pd(
-            acci, _mm256_add_pd(_mm256_mul_pd(ur[row][col], ini[col]),
-                                _mm256_mul_pd(ui[row][col], inr[col])));
+  // Groups of 4 quad counters (16 amplitudes).
+  for_amps(s.n, 16, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; k += 4) {
+      // lo >= 2: the 4 consecutive quad counters share one contiguous base.
+      const int64_t base = static_cast<int64_t>(
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi));
+      int64_t idx[4];
+      v4d inr[4], ini[4];
+      for (int sub = 0; sub < 4; ++sub) {
+        idx[sub] = base + ((sub & 1) ? sa : 0) + ((sub & 2) ? sb : 0);
+        inr[sub] = _mm256_loadu_pd(re + idx[sub]);
+        ini[sub] = _mm256_loadu_pd(im + idx[sub]);
       }
-      _mm256_storeu_pd(re + idx[row], accr);
-      _mm256_storeu_pd(im + idx[row], acci);
+      for (int row = 0; row < 4; ++row) {
+        v4d accr = _mm256_setzero_pd();
+        v4d acci = _mm256_setzero_pd();
+        for (int col = 0; col < 4; ++col) {
+          accr = _mm256_add_pd(
+              accr, _mm256_sub_pd(_mm256_mul_pd(ur[row][col], inr[col]),
+                                  _mm256_mul_pd(ui[row][col], ini[col])));
+          acci = _mm256_add_pd(
+              acci, _mm256_add_pd(_mm256_mul_pd(ur[row][col], ini[col]),
+                                  _mm256_mul_pd(ui[row][col], inr[col])));
+        }
+        _mm256_storeu_pd(re + idx[row], accr);
+        _mm256_storeu_pd(im + idx[row], acci);
+      }
     }
-  }
+  });
 }
 
 void swap_soa(const SoaSpan& s, int a, int b) {
@@ -209,56 +207,22 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; k += 4) {
-    amp_index i =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    i = bits::set_bit(i, lo);
-    const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-    const v4d xr = _mm256_loadu_pd(re + i);
-    const v4d xi = _mm256_loadu_pd(im + i);
-    const v4d yr = _mm256_loadu_pd(re + j);
-    const v4d yi = _mm256_loadu_pd(im + j);
-    _mm256_storeu_pd(re + i, yr);
-    _mm256_storeu_pd(im + i, yi);
-    _mm256_storeu_pd(re + j, xr);
-    _mm256_storeu_pd(im + j, xi);
-  }
-}
-
-void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
-  if (s.n < 4) {
-    scalar_ops().phase_soa(s, mask, factor);
-    return;
-  }
-  real_t* const re = s.re;
-  real_t* const im = s.im;
-  // Lanes always carry index low bits 0..3, so the low-mask selection is one
-  // constant blend mask; the high part of the mask is uniform per vector.
-  const v4d lane = low2_lane_mask(mask & 3);
-  const amp_index mask_hi = mask & ~amp_index{3};
-  const v4d fr = _mm256_set1_pd(factor.real());
-  const v4d fi = _mm256_set1_pd(factor.imag());
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 4) {
-    if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
-      continue;
+  for_amps(s.n, 16, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; k += 4) {
+      amp_index i =
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+      i = bits::set_bit(i, lo);
+      const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
+      const v4d xr = _mm256_loadu_pd(re + i);
+      const v4d xi = _mm256_loadu_pd(im + i);
+      const v4d yr = _mm256_loadu_pd(re + j);
+      const v4d yi = _mm256_loadu_pd(im + j);
+      _mm256_storeu_pd(re + i, yr);
+      _mm256_storeu_pd(im + i, yi);
+      _mm256_storeu_pd(re + j, xr);
+      _mm256_storeu_pd(im + j, xi);
     }
-    const v4d vr = _mm256_loadu_pd(re + base);
-    const v4d vi = _mm256_loadu_pd(im + base);
-    const v4d nr =
-        _mm256_sub_pd(_mm256_mul_pd(vr, fr), _mm256_mul_pd(vi, fi));
-    const v4d ni =
-        _mm256_add_pd(_mm256_mul_pd(vr, fi), _mm256_mul_pd(vi, fr));
-    _mm256_storeu_pd(re + base, _mm256_blendv_pd(vr, nr, lane));
-    _mm256_storeu_pd(im + base, _mm256_blendv_pd(vi, ni, lane));
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -286,30 +250,28 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm256_blendv_pd(f0r, f1r, tmask);
     fiv_fixed = _mm256_blendv_pd(f0i, f1i, tmask);
   }
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 4) {
-    if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
-      continue;
+  for_amps(s.n, 4, [&](int64_t lo, int64_t hi) {
+    for (int64_t base = lo; base < hi; base += 4) {
+      if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
+        continue;
+      }
+      v4d frv = frv_fixed, fiv = fiv_fixed;
+      if (!lane_target) {
+        const bool one =
+            bits::bit(static_cast<amp_index>(base), target) != 0;
+        frv = one ? f1r : f0r;
+        fiv = one ? f1i : f0i;
+      }
+      const v4d vr = _mm256_loadu_pd(re + base);
+      const v4d vi = _mm256_loadu_pd(im + base);
+      const v4d nr =
+          _mm256_sub_pd(_mm256_mul_pd(vr, frv), _mm256_mul_pd(vi, fiv));
+      const v4d ni =
+          _mm256_add_pd(_mm256_mul_pd(vr, fiv), _mm256_mul_pd(vi, frv));
+      _mm256_storeu_pd(re + base, _mm256_blendv_pd(vr, nr, ctrl_lane));
+      _mm256_storeu_pd(im + base, _mm256_blendv_pd(vi, ni, ctrl_lane));
     }
-    v4d frv = frv_fixed, fiv = fiv_fixed;
-    if (!lane_target) {
-      const bool one =
-          bits::bit(static_cast<amp_index>(base), target) != 0;
-      frv = one ? f1r : f0r;
-      fiv = one ? f1i : f0i;
-    }
-    const v4d vr = _mm256_loadu_pd(re + base);
-    const v4d vi = _mm256_loadu_pd(im + base);
-    const v4d nr =
-        _mm256_sub_pd(_mm256_mul_pd(vr, frv), _mm256_mul_pd(vi, fiv));
-    const v4d ni =
-        _mm256_add_pd(_mm256_mul_pd(vr, fiv), _mm256_mul_pd(vi, frv));
-    _mm256_storeu_pd(re + base, _mm256_blendv_pd(vr, nr, ctrl_lane));
-    _mm256_storeu_pd(im + base, _mm256_blendv_pd(vi, ni, ctrl_lane));
-  }
+  });
 }
 
 // The interleaved AoS layout does not fit split re/im lanes; its entries
@@ -325,17 +287,13 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
 void swap_aos(const AosSpan& s, int a, int b) {
   scalar_ops().swap_aos(s, a, b);
 }
-void phase_aos(const AosSpan& s, amp_index m, cplx f) {
-  scalar_ops().phase_aos(s, m, f);
-}
 void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
   scalar_ops().rz_aos(s, t, f0, f1, c);
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",      matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,    swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
+    "avx2",   matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
+    swap_soa, swap_aos,    rz_soa,      rz_aos,
 };
 
 }  // namespace

@@ -1,11 +1,13 @@
 // AVX-512 backend: 512-bit split re/im lanes for the kernels that dominate
-// dense local layers (matrix1, phase, rz). The rarer dense kernels
+// dense local layers (matrix1, and rz, which also carries every phase gate).
+// The rarer dense kernels
 // (matrix2, swap) compose the AVX2 table's entries, and the AoS layout
 // forwards to scalar — a worked example of the partial-backend composition
 // rule in docs/KERNELS.md.
 //
 // Compiled with -mavx512f -ffp-contract=off; no FMA (bit-identity contract,
-// see kernels_scalar.cpp). Only the table getter is exported.
+// see kernels_scalar.cpp). Only the table getter is exported. Parallel
+// loops iterate over whole vector groups, as in kernels_avx2.cpp.
 #include <immintrin.h>
 
 #include "common/bits.hpp"
@@ -98,85 +100,53 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   const BMat2 b = broadcast2(u);
 
   if (target >= 3) {
+    // Groups of 8 pairs; a stride >= 8 keeps every run a multiple of 8.
     const int64_t stride = int64_t{1} << target;
-    const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; off += 8) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const v8d a0r = _mm512_loadu_pd(re + i0);
-        const v8d a0i = _mm512_loadu_pd(im + i0);
-        const v8d a1r = _mm512_loadu_pd(re + i1);
-        const v8d a1i = _mm512_loadu_pd(im + i1);
-        v8d n0r, n0i, n1r, n1i;
-        mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-        _mm512_storeu_pd(re + i0, n0r);
-        _mm512_storeu_pd(im + i0, n0i);
-        _mm512_storeu_pd(re + i1, n1r);
-        _mm512_storeu_pd(im + i1, n1i);
-      }
-    }
+    for_amps(s.n, 16, [&](int64_t lo, int64_t hi) {
+      for_pair_runs(lo / 2, hi / 2, stride, [&](int64_t first, int64_t len) {
+        for (int64_t i0 = first; i0 < first + len; i0 += 8) {
+          const int64_t i1 = i0 + stride;
+          const v8d a0r = _mm512_loadu_pd(re + i0);
+          const v8d a0i = _mm512_loadu_pd(im + i0);
+          const v8d a1r = _mm512_loadu_pd(re + i1);
+          const v8d a1i = _mm512_loadu_pd(im + i1);
+          v8d n0r, n0i, n1r, n1i;
+          mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+          _mm512_storeu_pd(re + i0, n0r);
+          _mm512_storeu_pd(im + i0, n0i);
+          _mm512_storeu_pd(re + i1, n1r);
+          _mm512_storeu_pd(im + i1, n1i);
+        }
+      });
+    });
     return;
   }
 
   // target 0..2: split each 16-amplitude group into pair halves with
   // permutex2var (pairs are independent; relabelling lanes is free).
   const PairShuffle sh = pair_shuffle(target);
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 16) {
-    const v8d Ar = _mm512_loadu_pd(re + base);
-    const v8d Br = _mm512_loadu_pd(re + base + 8);
-    const v8d Ai = _mm512_loadu_pd(im + base);
-    const v8d Bi = _mm512_loadu_pd(im + base + 8);
-    const v8d a0r = _mm512_permutex2var_pd(Ar, sh.fwd0, Br);
-    const v8d a1r = _mm512_permutex2var_pd(Ar, sh.fwd1, Br);
-    const v8d a0i = _mm512_permutex2var_pd(Ai, sh.fwd0, Bi);
-    const v8d a1i = _mm512_permutex2var_pd(Ai, sh.fwd1, Bi);
-    v8d n0r, n0i, n1r, n1i;
-    mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
-    _mm512_storeu_pd(re + base, _mm512_permutex2var_pd(n0r, sh.inv_lo, n1r));
-    _mm512_storeu_pd(re + base + 8,
-                     _mm512_permutex2var_pd(n0r, sh.inv_hi, n1r));
-    _mm512_storeu_pd(im + base, _mm512_permutex2var_pd(n0i, sh.inv_lo, n1i));
-    _mm512_storeu_pd(im + base + 8,
-                     _mm512_permutex2var_pd(n0i, sh.inv_hi, n1i));
-  }
-}
-
-void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
-  if (s.n < 8) {
-    scalar_ops().phase_soa(s, mask, factor);
-    return;
-  }
-  real_t* const re = s.re;
-  real_t* const im = s.im;
-  const __mmask8 lane = low3_lane_mask(mask & 7);
-  const amp_index mask_hi = mask & ~amp_index{7};
-  const v8d fr = _mm512_set1_pd(factor.real());
-  const v8d fi = _mm512_set1_pd(factor.imag());
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
-    if (!bits::all_set(static_cast<amp_index>(base), mask_hi)) {
-      continue;
+  for_amps(s.n, 16, [&](int64_t lo, int64_t hi) {
+    for (int64_t base = lo; base < hi; base += 16) {
+      const v8d Ar = _mm512_loadu_pd(re + base);
+      const v8d Br = _mm512_loadu_pd(re + base + 8);
+      const v8d Ai = _mm512_loadu_pd(im + base);
+      const v8d Bi = _mm512_loadu_pd(im + base + 8);
+      const v8d a0r = _mm512_permutex2var_pd(Ar, sh.fwd0, Br);
+      const v8d a1r = _mm512_permutex2var_pd(Ar, sh.fwd1, Br);
+      const v8d a0i = _mm512_permutex2var_pd(Ai, sh.fwd0, Bi);
+      const v8d a1i = _mm512_permutex2var_pd(Ai, sh.fwd1, Bi);
+      v8d n0r, n0i, n1r, n1i;
+      mat2_lanes(b, a0r, a0i, a1r, a1i, n0r, n0i, n1r, n1i);
+      _mm512_storeu_pd(re + base,
+                       _mm512_permutex2var_pd(n0r, sh.inv_lo, n1r));
+      _mm512_storeu_pd(re + base + 8,
+                       _mm512_permutex2var_pd(n0r, sh.inv_hi, n1r));
+      _mm512_storeu_pd(im + base,
+                       _mm512_permutex2var_pd(n0i, sh.inv_lo, n1i));
+      _mm512_storeu_pd(im + base + 8,
+                       _mm512_permutex2var_pd(n0i, sh.inv_hi, n1i));
     }
-    const v8d vr = _mm512_loadu_pd(re + base);
-    const v8d vi = _mm512_loadu_pd(im + base);
-    const v8d nr =
-        _mm512_sub_pd(_mm512_mul_pd(vr, fr), _mm512_mul_pd(vi, fi));
-    const v8d ni =
-        _mm512_add_pd(_mm512_mul_pd(vr, fi), _mm512_mul_pd(vi, fr));
-    _mm512_mask_storeu_pd(re + base, lane, nr);
-    _mm512_mask_storeu_pd(im + base, lane, ni);
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -203,30 +173,28 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
     frv_fixed = _mm512_mask_blend_pd(tmask, f0r, f1r);
     fiv_fixed = _mm512_mask_blend_pd(tmask, f0i, f1i);
   }
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t base = 0; base < n; base += 8) {
-    if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
-      continue;
+  for_amps(s.n, 8, [&](int64_t lo, int64_t hi) {
+    for (int64_t base = lo; base < hi; base += 8) {
+      if (!bits::all_set(static_cast<amp_index>(base), ctrl_hi)) {
+        continue;
+      }
+      v8d frv = frv_fixed, fiv = fiv_fixed;
+      if (!lane_target) {
+        const bool one =
+            bits::bit(static_cast<amp_index>(base), target) != 0;
+        frv = one ? f1r : f0r;
+        fiv = one ? f1i : f0i;
+      }
+      const v8d vr = _mm512_loadu_pd(re + base);
+      const v8d vi = _mm512_loadu_pd(im + base);
+      const v8d nr =
+          _mm512_sub_pd(_mm512_mul_pd(vr, frv), _mm512_mul_pd(vi, fiv));
+      const v8d ni =
+          _mm512_add_pd(_mm512_mul_pd(vr, fiv), _mm512_mul_pd(vi, frv));
+      _mm512_mask_storeu_pd(re + base, ctrl_lane, nr);
+      _mm512_mask_storeu_pd(im + base, ctrl_lane, ni);
     }
-    v8d frv = frv_fixed, fiv = fiv_fixed;
-    if (!lane_target) {
-      const bool one =
-          bits::bit(static_cast<amp_index>(base), target) != 0;
-      frv = one ? f1r : f0r;
-      fiv = one ? f1i : f0i;
-    }
-    const v8d vr = _mm512_loadu_pd(re + base);
-    const v8d vi = _mm512_loadu_pd(im + base);
-    const v8d nr =
-        _mm512_sub_pd(_mm512_mul_pd(vr, frv), _mm512_mul_pd(vi, fiv));
-    const v8d ni =
-        _mm512_add_pd(_mm512_mul_pd(vr, fiv), _mm512_mul_pd(vi, frv));
-    _mm512_mask_storeu_pd(re + base, ctrl_lane, nr);
-    _mm512_mask_storeu_pd(im + base, ctrl_lane, ni);
-  }
+  });
 }
 
 // Composed entries: matrix2/swap ride the AVX2 implementations, AoS rides
@@ -246,17 +214,13 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
 void swap_aos(const AosSpan& s, int a, int b) {
   scalar_ops().swap_aos(s, a, b);
 }
-void phase_aos(const AosSpan& s, amp_index m, cplx f) {
-  scalar_ops().phase_aos(s, m, f);
-}
 void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
   scalar_ops().rz_aos(s, t, f0, f1, c);
 }
 
 constexpr KernelOps kAvx512Ops = {
-    "avx512",    matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,    swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
+    "avx512", matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
+    swap_soa, swap_aos,    rz_soa,      rz_aos,
 };
 
 }  // namespace

@@ -8,10 +8,10 @@
 // with -ffp-contract=off so no multiply-add contraction can change rounding
 // (see src/sv/CMakeLists.txt; the vector backends use no FMA either).
 //
-// Loops over the SoA layout are written as (block, offset) nests over the
-// pair stride so the compiler can auto-vectorise the contiguous inner loop
-// even in this backend — the raw-span fast path replaces the get/set
-// indirection the templated kernels fall back to.
+// Every loop splits across threads with for_amps (backends.hpp).
+// Uncontrolled matrix1 loops walk contiguous runs of pair members
+// (for_pair_runs) so the compiler can auto-vectorise the inner loop even in
+// this backend.
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "sv/simd/backends.hpp"
@@ -35,44 +35,32 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   const real_t u11r = u.m[1][1].real(), u11i = u.m[1][1].imag();
   const int64_t stride = int64_t{1} << target;
 
-  if (ctrl == 0) {
-    const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; ++off) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const real_t a0r = re[i0], a0i = im[i0];
-        const real_t a1r = re[i1], a1i = im[i1];
-        re[i0] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
-        im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
-        re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
-        im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-      }
-    }
-    return;
-  }
-
-  const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < pairs; ++k) {
-    const amp_index i0 =
-        bits::insert_zero_bit(static_cast<amp_index>(k), target);
-    if (!bits::all_set(i0, ctrl)) {
-      continue;
-    }
-    const amp_index i1 = bits::set_bit(i0, target);
+  const auto pair = [&](int64_t i0) {
+    const int64_t i1 = i0 + stride;
     const real_t a0r = re[i0], a0i = im[i0];
     const real_t a1r = re[i1], a1i = im[i1];
     re[i0] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
     im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
     re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
     im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-  }
+  };
+  for_amps(s.n, 2, [&](int64_t lo, int64_t hi) {
+    if (ctrl == 0) {
+      for_pair_runs(lo / 2, hi / 2, stride, [&](int64_t i0, int64_t len) {
+        for (int64_t j = 0; j < len; ++j) {
+          pair(i0 + j);
+        }
+      });
+      return;
+    }
+    for (int64_t k = lo / 2; k < hi / 2; ++k) {
+      const amp_index i0 =
+          bits::insert_zero_bit(static_cast<amp_index>(k), target);
+      if (bits::all_set(i0, ctrl)) {
+        pair(static_cast<int64_t>(i0));
+      }
+    }
+  });
 }
 
 void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
@@ -81,45 +69,43 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
   real_t* const im = s.im;
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
-    const amp_index base =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    if (!bits::all_set(base, ctrl)) {
-      continue;
-    }
-    // Subspace index order follows (bit b, bit a).
-    amp_index idx[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      amp_index i = base;
-      if (sub & 1) {
-        i = bits::set_bit(i, a);
+  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; ++k) {
+      const amp_index base =
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+      if (!bits::all_set(base, ctrl)) {
+        continue;
       }
-      if (sub & 2) {
-        i = bits::set_bit(i, b);
+      // Subspace index order follows (bit b, bit a).
+      amp_index idx[4];
+      for (int sub = 0; sub < 4; ++sub) {
+        amp_index i = base;
+        if (sub & 1) {
+          i = bits::set_bit(i, a);
+        }
+        if (sub & 2) {
+          i = bits::set_bit(i, b);
+        }
+        idx[sub] = i;
       }
-      idx[sub] = i;
-    }
-    real_t inr[4], ini[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      inr[sub] = re[idx[sub]];
-      ini[sub] = im[idx[sub]];
-    }
-    for (int row = 0; row < 4; ++row) {
-      real_t accr = 0, acci = 0;
-      for (int col = 0; col < 4; ++col) {
-        const real_t ur = u.m[row][col].real();
-        const real_t ui = u.m[row][col].imag();
-        accr = accr + (ur * inr[col] - ui * ini[col]);
-        acci = acci + (ur * ini[col] + ui * inr[col]);
+      real_t inr[4], ini[4];
+      for (int sub = 0; sub < 4; ++sub) {
+        inr[sub] = re[idx[sub]];
+        ini[sub] = im[idx[sub]];
       }
-      re[idx[row]] = accr;
-      im[idx[row]] = acci;
+      for (int row = 0; row < 4; ++row) {
+        real_t accr = 0, acci = 0;
+        for (int col = 0; col < 4; ++col) {
+          const real_t ur = u.m[row][col].real();
+          const real_t ui = u.m[row][col].imag();
+          accr = accr + (ur * inr[col] - ui * ini[col]);
+          acci = acci + (ur * ini[col] + ui * inr[col]);
+        }
+        re[idx[row]] = accr;
+        im[idx[row]] = acci;
+      }
     }
-  }
+  });
 }
 
 void swap_soa(const SoaSpan& s, int a, int b) {
@@ -127,38 +113,19 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   real_t* const im = s.im;
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
-    amp_index i =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    i = bits::set_bit(i, lo);
-    const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-    const real_t tr = re[i], ti = im[i];
-    re[i] = re[j];
-    im[i] = im[j];
-    re[j] = tr;
-    im[j] = ti;
-  }
-}
-
-void phase_soa(const SoaSpan& s, amp_index mask, cplx factor) {
-  real_t* const re = s.re;
-  real_t* const im = s.im;
-  const real_t fr = factor.real(), fi = factor.imag();
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    if (bits::all_set(static_cast<amp_index>(i), mask)) {
-      const real_t vr = re[i], vi = im[i];
-      re[i] = vr * fr - vi * fi;
-      im[i] = vr * fi + vi * fr;
+  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; ++k) {
+      amp_index i =
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+      i = bits::set_bit(i, lo);
+      const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
+      const real_t tr = re[i], ti = im[i];
+      re[i] = re[j];
+      im[i] = im[j];
+      re[j] = tr;
+      im[j] = ti;
     }
-  }
+  });
 }
 
 void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
@@ -166,21 +133,19 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   real_t* const im = s.im;
   const real_t f0r = f0.real(), f0i = f0.imag();
   const real_t f1r = f1.real(), f1i = f1.imag();
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-      continue;
+  for_amps(s.n, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
+        continue;
+      }
+      const bool one = bits::bit(static_cast<amp_index>(i), target) != 0;
+      const real_t fr = one ? f1r : f0r;
+      const real_t fi = one ? f1i : f0i;
+      const real_t vr = re[i], vi = im[i];
+      re[i] = vr * fr - vi * fi;
+      im[i] = vr * fi + vi * fr;
     }
-    const bool one = bits::bit(static_cast<amp_index>(i), target) != 0;
-    const real_t fr = one ? f1r : f0r;
-    const real_t fi = one ? f1i : f0i;
-    const real_t vr = re[i], vi = im[i];
-    re[i] = vr * fr - vi * fi;
-    im[i] = vr * fi + vi * fr;
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -195,40 +160,30 @@ void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
   const cplx u10 = u.m[1][0], u11 = u.m[1][1];
   const int64_t stride = int64_t{1} << target;
 
-  if (ctrl == 0) {
-    const int64_t blocks = static_cast<int64_t>(s.n) / (2 * stride);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      for (int64_t off = 0; off < stride; ++off) {
-        const int64_t i0 = blk * 2 * stride + off;
-        const int64_t i1 = i0 + stride;
-        const cplx a0 = amp[i0];
-        const cplx a1 = amp[i1];
-        amp[i0] = u00 * a0 + u01 * a1;
-        amp[i1] = u10 * a0 + u11 * a1;
-      }
-    }
-    return;
-  }
-
-  const int64_t pairs = static_cast<int64_t>(s.n) / 2;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < pairs; ++k) {
-    const amp_index i0 =
-        bits::insert_zero_bit(static_cast<amp_index>(k), target);
-    if (!bits::all_set(i0, ctrl)) {
-      continue;
-    }
-    const amp_index i1 = bits::set_bit(i0, target);
+  const auto pair = [&](int64_t i0) {
+    const int64_t i1 = i0 + stride;
     const cplx a0 = amp[i0];
     const cplx a1 = amp[i1];
     amp[i0] = u00 * a0 + u01 * a1;
     amp[i1] = u10 * a0 + u11 * a1;
-  }
+  };
+  for_amps(s.n, 2, [&](int64_t lo, int64_t hi) {
+    if (ctrl == 0) {
+      for_pair_runs(lo / 2, hi / 2, stride, [&](int64_t i0, int64_t len) {
+        for (int64_t j = 0; j < len; ++j) {
+          pair(i0 + j);
+        }
+      });
+      return;
+    }
+    for (int64_t k = lo / 2; k < hi / 2; ++k) {
+      const amp_index i0 =
+          bits::insert_zero_bit(static_cast<amp_index>(k), target);
+      if (bits::all_set(i0, ctrl)) {
+        pair(static_cast<int64_t>(i0));
+      }
+    }
+  });
 }
 
 void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
@@ -236,93 +191,72 @@ void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
   cplx* const amp = s.amp;
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
-    const amp_index base =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    if (!bits::all_set(base, ctrl)) {
-      continue;
-    }
-    amp_index idx[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      amp_index i = base;
-      if (sub & 1) {
-        i = bits::set_bit(i, a);
+  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; ++k) {
+      const amp_index base =
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+      if (!bits::all_set(base, ctrl)) {
+        continue;
       }
-      if (sub & 2) {
-        i = bits::set_bit(i, b);
+      amp_index idx[4];
+      for (int sub = 0; sub < 4; ++sub) {
+        amp_index i = base;
+        if (sub & 1) {
+          i = bits::set_bit(i, a);
+        }
+        if (sub & 2) {
+          i = bits::set_bit(i, b);
+        }
+        idx[sub] = i;
       }
-      idx[sub] = i;
-    }
-    cplx in[4];
-    for (int sub = 0; sub < 4; ++sub) {
-      in[sub] = amp[idx[sub]];
-    }
-    for (int row = 0; row < 4; ++row) {
-      cplx acc = 0;
-      for (int col = 0; col < 4; ++col) {
-        acc += u.m[row][col] * in[col];
+      cplx in[4];
+      for (int sub = 0; sub < 4; ++sub) {
+        in[sub] = amp[idx[sub]];
       }
-      amp[idx[row]] = acc;
+      for (int row = 0; row < 4; ++row) {
+        cplx acc = 0;
+        for (int col = 0; col < 4; ++col) {
+          acc += u.m[row][col] * in[col];
+        }
+        amp[idx[row]] = acc;
+      }
     }
-  }
+  });
 }
 
 void swap_aos(const AosSpan& s, int a, int b) {
   cplx* const amp = s.amp;
   const int lo = a < b ? a : b;
   const int hi = a < b ? b : a;
-  const int64_t quads = static_cast<int64_t>(s.n) / 4;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t k = 0; k < quads; ++k) {
-    amp_index i =
-        bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-    i = bits::set_bit(i, lo);
-    const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-    const cplx t = amp[i];
-    amp[i] = amp[j];
-    amp[j] = t;
-  }
-}
-
-void phase_aos(const AosSpan& s, amp_index mask, cplx factor) {
-  cplx* const amp = s.amp;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    if (bits::all_set(static_cast<amp_index>(i), mask)) {
-      amp[i] = amp[i] * factor;
+  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
+    for (int64_t k = first / 4; k < last / 4; ++k) {
+      amp_index i =
+          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
+      i = bits::set_bit(i, lo);
+      const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
+      const cplx t = amp[i];
+      amp[i] = amp[j];
+      amp[j] = t;
     }
-  }
+  });
 }
 
 void rz_aos(const AosSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   cplx* const amp = s.amp;
-  const int64_t n = static_cast<int64_t>(s.n);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-      continue;
+  for_amps(s.n, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
+        continue;
+      }
+      const cplx f = bits::bit(static_cast<amp_index>(i), target) ? f1 : f0;
+      amp[i] = amp[i] * f;
     }
-    const cplx f =
-        bits::bit(static_cast<amp_index>(i), target) ? f1 : f0;
-    amp[i] = amp[i] * f;
-  }
+  });
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",      matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa,      swap_aos,    phase_soa,   phase_aos,   rz_soa,
-    rz_aos,
+    "scalar", matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
+    swap_soa, swap_aos,    rz_soa,      rz_aos,
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 // SIMD-dispatched span kernels for the hot dense gate paths.
 //
 // The gate kernels in sv/kernels.hpp are templated over a *slice* interface
-// (get/set/size). When the slice also exposes raw contiguous storage — the
-// SoA re()/im() arrays or the AoS data() array — the dense kernels route
-// through this layer instead: a table of function pointers (`KernelOps`)
+// (get/set/size). Every slice also exposes raw contiguous storage — the SoA
+// re()/im() arrays or the AoS data() array — and the dense kernels route
+// through this layer: a table of function pointers (`KernelOps`)
 // whose entries are implemented once per backend (portable scalar, AVX2,
 // AVX-512) and selected once at startup by CPUID, overridable with the
 // QSV_SIMD environment variable.
@@ -104,6 +104,11 @@ concept AosSpanAccess = requires(S& s) {
   { s.size() } -> std::convertible_to<amp_index>;
 };
 
+/// Slice types the dense gate kernels accept. Every slice in the tree
+/// (SoaStorage, AosStorage, TileView over either) models one of the two.
+template <class S>
+concept SpanAccess = SoaSpanAccess<S> || AosSpanAccess<S>;
+
 template <SoaSpanAccess S>
 [[nodiscard]] SoaSpan soa_span(S& s) {
   return {s.re(), s.im(), s.size()};
@@ -126,9 +131,9 @@ template <AosSpanAccess S>
 ///  * matrix2: 4x4 on quads over bits `a` (low subspace bit) and `b`;
 ///    subspace index order is (bit b, bit a); `ctrl` gates the quad base.
 ///  * swap: exchanges amplitudes across bits `a`/`b`.
-///  * phase: multiplies amplitudes with all `mask` bits set by `factor`.
 ///  * rz: amplitudes matching `ctrl` are multiplied by f1 when bit
-///    `target` is set, f0 otherwise.
+///    `target` is set, f0 otherwise. With f0 == f1 it is the phase kernel:
+///    every amplitude with all `ctrl` bits set times one factor.
 struct KernelOps {
   const char* name;
   void (*matrix1_soa)(const SoaSpan&, int target, const Mat2&, amp_index ctrl);
@@ -139,8 +144,6 @@ struct KernelOps {
                       amp_index ctrl);
   void (*swap_soa)(const SoaSpan&, int a, int b);
   void (*swap_aos)(const AosSpan&, int a, int b);
-  void (*phase_soa)(const SoaSpan&, amp_index mask, cplx factor);
-  void (*phase_aos)(const AosSpan&, amp_index mask, cplx factor);
   void (*rz_soa)(const SoaSpan&, int target, cplx f0, cplx f1,
                  amp_index ctrl);
   void (*rz_aos)(const AosSpan&, int target, cplx f0, cplx f1,

@@ -5,9 +5,29 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/par.hpp"
 #include "sv/kernels.hpp"
 
 namespace qsv {
+namespace {
+
+/// Sum of |a_i|^2 over the indices with every bit of `mask` set. A
+/// par::reduce, so it returns the same bits at every width.
+template <class S>
+real_t masked_norm_sq(const S& s, amp_index mask) {
+  return par::reduce(static_cast<std::int64_t>(s.size()), par::kAmpGrain,
+                     [&](std::int64_t lo, std::int64_t hi) {
+    real_t acc = 0;
+    for (amp_index i = lo; i < static_cast<amp_index>(hi); ++i) {
+      if (bits::all_set(i, mask)) {
+        acc += std::norm(s.get(i));
+      }
+    }
+    return acc;
+  });
+}
+
+}  // namespace
 
 template <class S>
 BasicStateVector<S>::BasicStateVector(int num_qubits)
@@ -89,17 +109,7 @@ void BasicStateVector<S>::apply(const Circuit& c) {
 template <class S>
 real_t BasicStateVector<S>::probability_of_one(qubit_t qubit) const {
   QSV_REQUIRE(qubit >= 0 && qubit < num_qubits_, "qubit out of range");
-  const amp_index n = num_amps();
-  real_t p = 0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : p) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (bits::bit(static_cast<amp_index>(i), qubit)) {
-      p += std::norm(storage_.get(i));
-    }
-  }
-  return p;
+  return masked_norm_sq(storage_, amp_index{1} << qubit);
 }
 
 template <class S>
@@ -153,15 +163,7 @@ std::map<amp_index, int> BasicStateVector<S>::sample_counts(int shots,
 
 template <class S>
 real_t BasicStateVector<S>::norm_sq() const {
-  const amp_index n = num_amps();
-  real_t acc = 0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    acc += std::norm(storage_.get(i));
-  }
-  return acc;
+  return masked_norm_sq(storage_, 0);
 }
 
 template <class S>

@@ -37,9 +37,10 @@ struct SweepStats {
 namespace kern {
 
 /// Applies gates[0 .. count) to every 2^min(tile_qubits, local_qubits)-
-/// amplitude tile of `s`, tile by tile, with OpenMP parallelism across
-/// tiles. `rank_bits` is the slice's rank id (0 for a single-address-space
-/// state); every gate must be sweepable at the effective tile size.
+/// amplitude tile of `s`, tile by tile, with the tiles split across threads
+/// by par::for_range (grain counted in tiles). `rank_bits` is the slice's
+/// rank id (0 for a single-address-space state); every gate must be
+/// sweepable at the effective tile size.
 template <class S>
 void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
                      int tile_qubits, int local_qubits, amp_index rank_bits);

@@ -307,7 +307,8 @@ TEST(Overlap, OverlapOffIsZeroDelta) {
   DistOptions nb;
   nb.policy = CommPolicy::kNonBlocking;
   TraceSim sim(38, 64, nb);
-  CostModel cost(archer2(), job);
+  const MachineModel machine = archer2();
+  CostModel cost(machine, job);
   sim.set_listener(&cost);
   sim.apply(build_hadamard_bench(38, 37, 4));
   const RunReport r = cost.report();
@@ -326,12 +327,13 @@ TEST(Overlap, CostModelHidesWireTimeBehindCombine) {
   job.freq = CpuFreq::kMedium2000;
   job.nodes = 64;
   const Circuit c = build_hadamard_bench(38, 34, 1);
+  const MachineModel machine = archer2();
 
   auto price = [&](CommPolicy policy) {
     DistOptions o;
     o.policy = policy;
     TraceSim sim(38, 64, o);
-    CostModel cost(archer2(), job);
+    CostModel cost(machine, job);
     sim.set_listener(&cost);
     sim.apply(c);
     return cost.report();
