@@ -957,6 +957,5 @@ BasicStateVector<S> DistStateVector<S>::gather() const {
 }
 
 template class DistStateVector<SoaStorage>;
-template class DistStateVector<AosStorage>;
 
 }  // namespace qsv

@@ -267,9 +267,7 @@ class DistStateVector {
 };
 
 using DistStateVectorSoa = DistStateVector<SoaStorage>;
-using DistStateVectorAos = DistStateVector<AosStorage>;
 
 extern template class DistStateVector<SoaStorage>;
-extern template class DistStateVector<AosStorage>;
 
 }  // namespace qsv

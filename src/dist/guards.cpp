@@ -93,6 +93,5 @@ void StateGuard<S>::verify_restore(std::uint64_t gate_index) {
 }
 
 template class StateGuard<SoaStorage>;
-template class StateGuard<AosStorage>;
 
 }  // namespace qsv

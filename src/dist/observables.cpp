@@ -224,31 +224,18 @@ std::string state_digest(const DistStateVector<S>& sv) {
   return digest;
 }
 
-// Explicit instantiations for both layouts.
 template cplx pauli_bracket<SoaStorage>(const BasicStateVector<SoaStorage>&,
                                         const PauliTerm&);
-template cplx pauli_bracket<AosStorage>(const BasicStateVector<AosStorage>&,
-                                        const PauliTerm&);
 template real_t expectation<SoaStorage>(const BasicStateVector<SoaStorage>&,
-                                        const PauliTerm&);
-template real_t expectation<AosStorage>(const BasicStateVector<AosStorage>&,
                                         const PauliTerm&);
 template real_t expectation<SoaStorage>(const BasicStateVector<SoaStorage>&,
                                         const PauliSum&);
-template real_t expectation<AosStorage>(const BasicStateVector<AosStorage>&,
-                                        const PauliSum&);
 template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
                                         const PauliTerm&);
-template real_t expectation<AosStorage>(const DistStateVector<AosStorage>&,
-                                        const PauliTerm&);
 template real_t expectation<SoaStorage>(const DistStateVector<SoaStorage>&,
-                                        const PauliSum&);
-template real_t expectation<AosStorage>(const DistStateVector<AosStorage>&,
                                         const PauliSum&);
 
 template std::string state_digest<SoaStorage>(
     const DistStateVector<SoaStorage>&);
-template std::string state_digest<AosStorage>(
-    const DistStateVector<AosStorage>&);
 
 }  // namespace qsv

@@ -291,8 +291,8 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     i = ckpt_gate;
   };
 
-  // Full restart tier: the PR 2 path, now also priced as a kRecovery event
-  // (one full-state read, every node active through the reload).
+  // Full restart tier, priced as a kRecovery event (one full-state read,
+  // every node active through the reload).
   auto restart_tier = [&] {
     ++stats.restarts;
     stats.tiers_used.push_back(RecoveryTier::kRestart);
@@ -512,7 +512,7 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
     } catch (const NodeFailure& f) {
       if (!checkpointing || !have_ckpt) {
         ++stats.restarts;
-        throw;  // PR 2 semantics: nothing to recover from
+        throw;  // nothing to recover from
       }
 
       if (policy.health.enabled) {
@@ -640,13 +640,6 @@ IntegrityStats run_verified(DistStateVector<S>& sv, const Circuit& c,
 }
 
 template IntegrityStats run_verified<SoaStorage>(DistStateVector<SoaStorage>&,
-                                                 const Circuit&,
-                                                 const CheckpointOptions&,
-                                                 const GuardOptions&,
-                                                 const RecoveryPolicy&,
-                                                 const ElasticOptions&,
-                                                 const StopToken*);
-template IntegrityStats run_verified<AosStorage>(DistStateVector<AosStorage>&,
                                                  const Circuit&,
                                                  const CheckpointOptions&,
                                                  const GuardOptions&,

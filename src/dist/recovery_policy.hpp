@@ -15,18 +15,18 @@
 //   budget exhausted /        typed abort naming rank, gate     —
 //   no rollback target        and cause (IntegrityAbort)
 //
-// The first two tiers live inside the engine; run_verified drives the
-// rest: it executes a circuit with checkpointing (dist/resilience) plus
-// invariant guards (dist/guards), rolling back on guard violations and
-// recovering node failures through choose_tier — spare-node substitution
-// (only the rebuilt rank replays), shrink-to-survive re-sharding (survivors
-// absorb partner slices and the run continues at half width), or the PR 2
-// full restart — converting exhausted budgets into IntegrityAbort so
-// callers always get a typed, attributable outcome. Every recovery action
-// is charged through kRecovery execution events, so a listening cost model
-// prices the movement; the *choice* between feasible tiers is by expected
-// energy when the caller supplies closed-form figures
-// (perf/resilience_model), else by the static cheapest-first order.
+// The first two tiers live inside the engine; run_verified drives the rest: it
+// executes a circuit with checkpointing (dist/resilience) plus invariant guards
+// (dist/guards), rolling back on guard violations and recovering node failures
+// through choose_tier — spare-node substitution (only the rebuilt rank
+// replays), shrink-to-survive re-sharding (survivors absorb partner slices and
+// the run continues at half width), or the full restart from the last
+// checkpoint — converting exhausted budgets into IntegrityAbort so callers
+// always get a typed, attributable outcome. Every recovery action is charged
+// through kRecovery execution events, so a listening cost model prices the
+// movement; the *choice* between feasible tiers is by expected energy when the
+// caller supplies closed-form figures (perf/resilience_model), else by the
+// static cheapest-first order.
 #pragma once
 
 #include <cstdint>
@@ -199,9 +199,10 @@ struct IntegrityStats {
 /// trailing corruption cannot slip out), rollbacks/restarts per `policy`.
 /// With guards on and checkpointing off, a violation aborts immediately —
 /// there is nothing to roll back to. NodeFailure propagates unchanged when
-/// checkpointing is off (PR 2 semantics). Node failures route through
+/// checkpointing is off. Node failures route through
 /// choose_tier(elastic, ...); the default ElasticOptions reduce that to the
-/// PR 4 restart-only path.
+/// restart-only path: reload the last checkpoint and replay, rethrowing the
+/// NodeFailure once ck.max_restarts is exceeded.
 ///
 /// Checkpoint write failures (disk full, unwritable directory) do not kill
 /// a healthy run: the failure is logged, priced as a kWarning event, counted

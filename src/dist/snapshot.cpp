@@ -305,25 +305,14 @@ void CheckpointStore::clear() {
 
 template void save_state<SoaStorage>(const std::string&,
                                      const BasicStateVector<SoaStorage>&);
-template void save_state<AosStorage>(const std::string&,
-                                     const BasicStateVector<AosStorage>&);
 template void save_state<SoaStorage>(const std::string&,
                                      const DistStateVector<SoaStorage>&);
-template void save_state<AosStorage>(const std::string&,
-                                     const DistStateVector<AosStorage>&);
 template void load_state<SoaStorage>(const std::string&,
                                      BasicStateVector<SoaStorage>&);
-template void load_state<AosStorage>(const std::string&,
-                                     BasicStateVector<AosStorage>&);
 template void load_state<SoaStorage>(const std::string&,
                                      DistStateVector<SoaStorage>&);
-template void load_state<AosStorage>(const std::string&,
-                                     DistStateVector<AosStorage>&);
 template void load_rank_slice<SoaStorage>(const std::string&,
                                           DistStateVector<SoaStorage>&,
-                                          rank_t);
-template void load_rank_slice<AosStorage>(const std::string&,
-                                          DistStateVector<AosStorage>&,
                                           rank_t);
 
 }  // namespace qsv

@@ -14,9 +14,6 @@
 // rank-slice path, where the elastic re-shards (shrink / grow-back) change
 // what "rank r's span" means and a geometry-mismatched adoption must be
 // refused rather than silently misread.
-//
-// The layout on disk is storage-independent, so a snapshot written from a
-// SoA run restores into an interleaved-layout engine and vice versa.
 #pragma once
 
 #include <cstdint>

@@ -4,37 +4,12 @@
 #include "dist/dist_statevector.hpp"
 #include "dist/observables.hpp"
 #include "dist/recovery_policy.hpp"
-#include "dist/trace.hpp"
-#include "perf/cost_model.hpp"
+#include "perf/runner.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "sv/storage.hpp"
 
 namespace qsv::serve {
-namespace {
-
-/// Prices the applied prefix [0, gates_done) of the plan's circuit on the
-/// trace engine — the partial cost a deadline-cancelled job still reports.
-RunReport price_prefix(const QueuedJob& job, const MachineModel& machine,
-                       const AdmissionLimits& limits,
-                       std::uint64_t gates_done) {
-  DistOptions opts;
-  opts.policy = limits.policy;
-  TraceSim sim(job.num_qubits, job.ranks, opts);
-  JobConfig jc;
-  jc.num_qubits = job.num_qubits;
-  jc.node_kind = limits.node_kind;
-  jc.freq = limits.freq;
-  jc.nodes = job.ranks;
-  CostModel cost(machine, jc);
-  sim.set_listener(&cost);
-  for (std::uint64_t g = 0; g < gates_done; ++g) {
-    sim.apply(job.plan->circuit.gate(g));
-  }
-  return cost.report();
-}
-
-}  // namespace
 
 ExecResult execute_job(QueuedJob& job, const MachineModel& machine,
                        const AdmissionLimits& limits, double queue_s) {
@@ -60,8 +35,13 @@ ExecResult execute_job(QueuedJob& job, const MachineModel& machine,
         gates_done += run.count;
       }
     } catch (const DeadlineExceeded& d) {
+      JobConfig jc;
+      jc.num_qubits = job.num_qubits;
+      jc.node_kind = limits.node_kind;
+      jc.freq = limits.freq;
+      jc.nodes = job.ranks;
       const RunReport partial =
-          price_prefix(job, machine, limits, d.gates_done());
+          price_prefix(c, d.gates_done(), machine, jc, opts);
       JsonObject o;
       o["id"] = job.id;
       o["status"] = "deadline";

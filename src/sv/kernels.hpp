@@ -1,4 +1,4 @@
-// Gate application kernels, templated over the amplitude storage layout.
+// Gate application kernels, templated over the amplitude storage type.
 //
 // All gate semantics live here, in exactly one place: the single-address-
 // space StateVector calls apply_gate_slice with rank_bits = 0 and
@@ -56,11 +56,7 @@ struct SplitMask {
 /// mask. High controls must already be satisfied (caller's responsibility).
 template <simd::SpanAccess S>
 void apply_matrix1(S& s, int target, const Mat2& u, amp_index local_ctrl_mask) {
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().matrix1_soa(simd::soa_span(s), target, u, local_ctrl_mask);
-  } else {
-    simd::ops().matrix1_aos(simd::aos_span(s), target, u, local_ctrl_mask);
-  }
+  simd::ops().matrix1(simd::soa_span(s), target, u, local_ctrl_mask);
 }
 
 /// Applies a 4x4 matrix to two local targets (a = low subspace bit, b =
@@ -69,33 +65,21 @@ template <simd::SpanAccess S>
 void apply_matrix2(S& s, int a, int b, const Mat4& u,
                    amp_index local_ctrl_mask) {
   QSV_REQUIRE(a != b, "unitary2 targets must differ");
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().matrix2_soa(simd::soa_span(s), a, b, u, local_ctrl_mask);
-  } else {
-    simd::ops().matrix2_aos(simd::aos_span(s), a, b, u, local_ctrl_mask);
-  }
+  simd::ops().matrix2(simd::soa_span(s), a, b, u, local_ctrl_mask);
 }
 
 /// SWAP of two local qubits.
 template <simd::SpanAccess S>
 void apply_swap_local(S& s, int a, int b) {
   QSV_REQUIRE(a != b, "swap targets must differ");
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().swap_soa(simd::soa_span(s), a, b);
-  } else {
-    simd::ops().swap_aos(simd::aos_span(s), a, b);
-  }
+  simd::ops().swap(simd::soa_span(s), a, b);
 }
 
 /// Multiplies every local amplitude whose index has all bits of
 /// `local_mask` set by `factor`: the rz kernel with equal factors.
 template <simd::SpanAccess S>
 void apply_local_phase(S& s, amp_index local_mask, cplx factor) {
-  if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().rz_soa(simd::soa_span(s), 0, factor, factor, local_mask);
-  } else {
-    simd::ops().rz_aos(simd::aos_span(s), 0, factor, factor, local_mask);
-  }
+  simd::ops().rz(simd::soa_span(s), 0, factor, factor, local_mask);
 }
 
 /// Multiplies every amplitude whose global index has all bits of `mask` set
@@ -132,10 +116,8 @@ void apply_rz(S& s, int target_global, real_t theta, amp_index ctrl_global,
     apply_local_phase(
         s, local_ctrl,
         bits::bit(rank_bits, target_global - local_qubits) ? f1 : f0);
-  } else if constexpr (simd::SoaSpanAccess<S>) {
-    simd::ops().rz_soa(simd::soa_span(s), target_global, f0, f1, local_ctrl);
   } else {
-    simd::ops().rz_aos(simd::aos_span(s), target_global, f0, f1, local_ctrl);
+    simd::ops().rz(simd::soa_span(s), target_global, f0, f1, local_ctrl);
   }
 }
 

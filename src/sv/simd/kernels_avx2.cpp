@@ -16,8 +16,7 @@
 // does not matter).
 //
 // Anything without a vector path here (control masks on dense kernels, tiny
-// spans, low swap/matrix2 strides, and the whole interleaved AoS layout,
-// which split lanes do not fit) forwards to the scalar backend's entry.
+// spans, low swap/matrix2 strides) forwards to the scalar backend's entry.
 //
 // Loops split across threads with for_amps over whole vector groups, so a
 // thread's range never splits a vector.
@@ -72,10 +71,9 @@ v4d low2_lane_mask(amp_index lo2) {
       _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0)));
 }
 
-void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
-                 amp_index ctrl) {
+void matrix1(const SoaSpan& s, int target, const Mat2& u, amp_index ctrl) {
   if (ctrl != 0 || s.n < 8) {
-    scalar_ops().matrix1_soa(s, target, u, ctrl);
+    scalar_ops().matrix1(s, target, u, ctrl);
     return;
   }
   real_t* const re = s.re;
@@ -148,11 +146,10 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   });
 }
 
-void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
-                 amp_index ctrl) {
+void matrix2(const SoaSpan& s, int a, int b, const Mat4& u, amp_index ctrl) {
   const int lo = a < b ? a : b;
   if (ctrl != 0 || lo < 2 || s.n < 16) {
-    scalar_ops().matrix2_soa(s, a, b, u, ctrl);
+    scalar_ops().matrix2(s, a, b, u, ctrl);
     return;
   }
   real_t* const re = s.re;
@@ -198,10 +195,10 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
   });
 }
 
-void swap_soa(const SoaSpan& s, int a, int b) {
+void swap(const SoaSpan& s, int a, int b) {
   const int lo = a < b ? a : b;
   if (lo < 2 || s.n < 16) {
-    scalar_ops().swap_soa(s, a, b);
+    scalar_ops().swap(s, a, b);
     return;
   }
   real_t* const re = s.re;
@@ -225,9 +222,9 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   });
 }
 
-void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
+void rz(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   if (s.n < 4) {
-    scalar_ops().rz_soa(s, target, f0, f1, ctrl);
+    scalar_ops().rz(s, target, f0, f1, ctrl);
     return;
   }
   real_t* const re = s.re;
@@ -274,27 +271,8 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
-// The interleaved AoS layout does not fit split re/im lanes; its entries
-// forward to the scalar backend (micro_layout / micro_sweep quantify the
-// resulting SoA-vs-AoS gap under vectorisation).
-void matrix1_aos(const AosSpan& s, int t, const Mat2& u, amp_index c) {
-  scalar_ops().matrix1_aos(s, t, u, c);
-}
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index c) {
-  scalar_ops().matrix2_aos(s, a, b, u, c);
-}
-void swap_aos(const AosSpan& s, int a, int b) {
-  scalar_ops().swap_aos(s, a, b);
-}
-void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
-  scalar_ops().rz_aos(s, t, f0, f1, c);
-}
 
-constexpr KernelOps kAvx2Ops = {
-    "avx2",   matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa, swap_aos,    rz_soa,      rz_aos,
-};
+constexpr KernelOps kAvx2Ops = {"avx2", matrix1, matrix2, swap, rz};
 
 }  // namespace
 

@@ -1,9 +1,8 @@
 // AVX-512 backend: 512-bit split re/im lanes for the kernels that dominate
 // dense local layers (matrix1, and rz, which also carries every phase gate).
 // The rarer dense kernels
-// (matrix2, swap) compose the AVX2 table's entries, and the AoS layout
-// forwards to scalar — a worked example of the partial-backend composition
-// rule in docs/KERNELS.md.
+// (matrix2, swap) compose the AVX2 table's entries — a worked example of the
+// partial-backend composition rule in docs/KERNELS.md.
 //
 // Compiled with -mavx512f -ffp-contract=off; no FMA (bit-identity contract,
 // see kernels_scalar.cpp). Only the table getter is exported. Parallel
@@ -89,10 +88,9 @@ __mmask8 low3_lane_mask(amp_index lo3) {
   return m;
 }
 
-void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
-                 amp_index ctrl) {
+void matrix1(const SoaSpan& s, int target, const Mat2& u, amp_index ctrl) {
   if (ctrl != 0 || s.n < 16) {
-    scalar_ops().matrix1_soa(s, target, u, ctrl);
+    scalar_ops().matrix1(s, target, u, ctrl);
     return;
   }
   real_t* const re = s.re;
@@ -149,9 +147,9 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   });
 }
 
-void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
+void rz(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   if (s.n < 8) {
-    scalar_ops().rz_soa(s, target, f0, f1, ctrl);
+    scalar_ops().rz(s, target, f0, f1, ctrl);
     return;
   }
   real_t* const re = s.re;
@@ -197,31 +195,13 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
-// Composed entries: matrix2/swap ride the AVX2 implementations, AoS rides
-// scalar (see kernels_avx2.cpp for why split lanes skip AoS).
-void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
-                 amp_index c) {
-  avx2_ops().matrix2_soa(s, a, b, u, c);
+// Composed entries: matrix2/swap ride the AVX2 implementations.
+void matrix2(const SoaSpan& s, int a, int b, const Mat4& u, amp_index c) {
+  avx2_ops().matrix2(s, a, b, u, c);
 }
-void swap_soa(const SoaSpan& s, int a, int b) { avx2_ops().swap_soa(s, a, b); }
-void matrix1_aos(const AosSpan& s, int t, const Mat2& u, amp_index c) {
-  scalar_ops().matrix1_aos(s, t, u, c);
-}
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index c) {
-  scalar_ops().matrix2_aos(s, a, b, u, c);
-}
-void swap_aos(const AosSpan& s, int a, int b) {
-  scalar_ops().swap_aos(s, a, b);
-}
-void rz_aos(const AosSpan& s, int t, cplx f0, cplx f1, amp_index c) {
-  scalar_ops().rz_aos(s, t, f0, f1, c);
-}
+void swap(const SoaSpan& s, int a, int b) { avx2_ops().swap(s, a, b); }
 
-constexpr KernelOps kAvx512Ops = {
-    "avx512", matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa, swap_aos,    rz_soa,      rz_aos,
-};
+constexpr KernelOps kAvx512Ops = {"avx512", matrix1, matrix2, swap, rz};
 
 }  // namespace
 

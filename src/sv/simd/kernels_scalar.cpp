@@ -21,12 +21,7 @@ namespace {
 
 using std::int64_t;
 
-// ---------------------------------------------------------------------------
-// SoA (split re/im arrays)
-// ---------------------------------------------------------------------------
-
-void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
-                 amp_index ctrl) {
+void matrix1(const SoaSpan& s, int target, const Mat2& u, amp_index ctrl) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const real_t u00r = u.m[0][0].real(), u00i = u.m[0][0].imag();
@@ -63,8 +58,7 @@ void matrix1_soa(const SoaSpan& s, int target, const Mat2& u,
   });
 }
 
-void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
-                 amp_index ctrl) {
+void matrix2(const SoaSpan& s, int a, int b, const Mat4& u, amp_index ctrl) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const int lo = a < b ? a : b;
@@ -108,7 +102,7 @@ void matrix2_soa(const SoaSpan& s, int a, int b, const Mat4& u,
   });
 }
 
-void swap_soa(const SoaSpan& s, int a, int b) {
+void swap(const SoaSpan& s, int a, int b) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const int lo = a < b ? a : b;
@@ -128,7 +122,7 @@ void swap_soa(const SoaSpan& s, int a, int b) {
   });
 }
 
-void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
+void rz(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   real_t* const re = s.re;
   real_t* const im = s.im;
   const real_t f0r = f0.real(), f0i = f0.imag();
@@ -148,116 +142,7 @@ void rz_soa(const SoaSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// AoS (interleaved std::complex array) — plain std::complex arithmetic,
-// which is definitionally the reference order.
-// ---------------------------------------------------------------------------
-
-void matrix1_aos(const AosSpan& s, int target, const Mat2& u,
-                 amp_index ctrl) {
-  cplx* const amp = s.amp;
-  const cplx u00 = u.m[0][0], u01 = u.m[0][1];
-  const cplx u10 = u.m[1][0], u11 = u.m[1][1];
-  const int64_t stride = int64_t{1} << target;
-
-  const auto pair = [&](int64_t i0) {
-    const int64_t i1 = i0 + stride;
-    const cplx a0 = amp[i0];
-    const cplx a1 = amp[i1];
-    amp[i0] = u00 * a0 + u01 * a1;
-    amp[i1] = u10 * a0 + u11 * a1;
-  };
-  for_amps(s.n, 2, [&](int64_t lo, int64_t hi) {
-    if (ctrl == 0) {
-      for_pair_runs(lo / 2, hi / 2, stride, [&](int64_t i0, int64_t len) {
-        for (int64_t j = 0; j < len; ++j) {
-          pair(i0 + j);
-        }
-      });
-      return;
-    }
-    for (int64_t k = lo / 2; k < hi / 2; ++k) {
-      const amp_index i0 =
-          bits::insert_zero_bit(static_cast<amp_index>(k), target);
-      if (bits::all_set(i0, ctrl)) {
-        pair(static_cast<int64_t>(i0));
-      }
-    }
-  });
-}
-
-void matrix2_aos(const AosSpan& s, int a, int b, const Mat4& u,
-                 amp_index ctrl) {
-  cplx* const amp = s.amp;
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
-    for (int64_t k = first / 4; k < last / 4; ++k) {
-      const amp_index base =
-          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-      if (!bits::all_set(base, ctrl)) {
-        continue;
-      }
-      amp_index idx[4];
-      for (int sub = 0; sub < 4; ++sub) {
-        amp_index i = base;
-        if (sub & 1) {
-          i = bits::set_bit(i, a);
-        }
-        if (sub & 2) {
-          i = bits::set_bit(i, b);
-        }
-        idx[sub] = i;
-      }
-      cplx in[4];
-      for (int sub = 0; sub < 4; ++sub) {
-        in[sub] = amp[idx[sub]];
-      }
-      for (int row = 0; row < 4; ++row) {
-        cplx acc = 0;
-        for (int col = 0; col < 4; ++col) {
-          acc += u.m[row][col] * in[col];
-        }
-        amp[idx[row]] = acc;
-      }
-    }
-  });
-}
-
-void swap_aos(const AosSpan& s, int a, int b) {
-  cplx* const amp = s.amp;
-  const int lo = a < b ? a : b;
-  const int hi = a < b ? b : a;
-  for_amps(s.n, 4, [&](int64_t first, int64_t last) {
-    for (int64_t k = first / 4; k < last / 4; ++k) {
-      amp_index i =
-          bits::insert_two_zero_bits(static_cast<amp_index>(k), lo, hi);
-      i = bits::set_bit(i, lo);
-      const amp_index j = bits::set_bit(bits::clear_bit(i, lo), hi);
-      const cplx t = amp[i];
-      amp[i] = amp[j];
-      amp[j] = t;
-    }
-  });
-}
-
-void rz_aos(const AosSpan& s, int target, cplx f0, cplx f1, amp_index ctrl) {
-  cplx* const amp = s.amp;
-  for_amps(s.n, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      if (!bits::all_set(static_cast<amp_index>(i), ctrl)) {
-        continue;
-      }
-      const cplx f = bits::bit(static_cast<amp_index>(i), target) ? f1 : f0;
-      amp[i] = amp[i] * f;
-    }
-  });
-}
-
-constexpr KernelOps kScalarOps = {
-    "scalar", matrix1_soa, matrix1_aos, matrix2_soa, matrix2_aos,
-    swap_soa, swap_aos,    rz_soa,      rz_aos,
-};
+constexpr KernelOps kScalarOps = {"scalar", matrix1, matrix2, swap, rz};
 
 }  // namespace
 

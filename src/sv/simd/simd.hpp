@@ -1,9 +1,9 @@
 // SIMD-dispatched span kernels for the hot dense gate paths.
 //
 // The gate kernels in sv/kernels.hpp are templated over a *slice* interface
-// (get/set/size). Every slice also exposes raw contiguous storage — the SoA
-// re()/im() arrays or the AoS data() array — and the dense kernels route
-// through this layer: a table of function pointers (`KernelOps`)
+// (get/set/size). Every slice also exposes its raw contiguous re()/im()
+// arrays, and the dense kernels route through this layer: a table of
+// function pointers (`KernelOps`)
 // whose entries are implemented once per backend (portable scalar, AVX2,
 // AVX-512) and selected once at startup by CPUID, overridable with the
 // QSV_SIMD environment variable.
@@ -81,49 +81,25 @@ struct SoaSpan {
   amp_index n;
 };
 
-/// Contiguous interleaved view: amp[i] is amplitude i. `n` is a power of
-/// two.
-struct AosSpan {
-  cplx* amp;
-  amp_index n;
-};
-
-/// Slice types that can hand out a SoaSpan (SoaStorage and any view over
-/// it, e.g. the sweep executor's TileView).
+/// Slice types the dense gate kernels accept: SoaStorage and any view over
+/// it (e.g. the sweep executor's TileView).
 template <class S>
-concept SoaSpanAccess = requires(S& s) {
+concept SpanAccess = requires(S& s) {
   { s.re() } -> std::convertible_to<real_t*>;
   { s.im() } -> std::convertible_to<real_t*>;
   { s.size() } -> std::convertible_to<amp_index>;
 };
 
-/// Slice types that can hand out an AosSpan.
-template <class S>
-concept AosSpanAccess = requires(S& s) {
-  { s.data() } -> std::convertible_to<cplx*>;
-  { s.size() } -> std::convertible_to<amp_index>;
-};
-
-/// Slice types the dense gate kernels accept. Every slice in the tree
-/// (SoaStorage, AosStorage, TileView over either) models one of the two.
-template <class S>
-concept SpanAccess = SoaSpanAccess<S> || AosSpanAccess<S>;
-
-template <SoaSpanAccess S>
+template <SpanAccess S>
 [[nodiscard]] SoaSpan soa_span(S& s) {
   return {s.re(), s.im(), s.size()};
-}
-
-template <AosSpanAccess S>
-[[nodiscard]] AosSpan aos_span(S& s) {
-  return {s.data(), s.size()};
 }
 
 // ---------------------------------------------------------------------------
 // Kernel table
 // ---------------------------------------------------------------------------
 
-/// One entry per hot dense kernel per layout. Semantics match the reference
+/// One entry per hot dense kernel. Semantics match the reference
 /// loops in sv/kernels.hpp exactly (same pair/quad enumeration, same
 /// control-mask gating, same complex operation order):
 ///  * matrix1: 2x2 on index pairs differing in bit `target`; pairs whose
@@ -136,18 +112,10 @@ template <AosSpanAccess S>
 ///    every amplitude with all `ctrl` bits set times one factor.
 struct KernelOps {
   const char* name;
-  void (*matrix1_soa)(const SoaSpan&, int target, const Mat2&, amp_index ctrl);
-  void (*matrix1_aos)(const AosSpan&, int target, const Mat2&, amp_index ctrl);
-  void (*matrix2_soa)(const SoaSpan&, int a, int b, const Mat4&,
-                      amp_index ctrl);
-  void (*matrix2_aos)(const AosSpan&, int a, int b, const Mat4&,
-                      amp_index ctrl);
-  void (*swap_soa)(const SoaSpan&, int a, int b);
-  void (*swap_aos)(const AosSpan&, int a, int b);
-  void (*rz_soa)(const SoaSpan&, int target, cplx f0, cplx f1,
-                 amp_index ctrl);
-  void (*rz_aos)(const AosSpan&, int target, cplx f0, cplx f1,
-                 amp_index ctrl);
+  void (*matrix1)(const SoaSpan&, int target, const Mat2&, amp_index ctrl);
+  void (*matrix2)(const SoaSpan&, int a, int b, const Mat4&, amp_index ctrl);
+  void (*swap)(const SoaSpan&, int a, int b);
+  void (*rz)(const SoaSpan&, int target, cplx f0, cplx f1, amp_index ctrl);
 };
 
 /// Table of a specific backend (must be supported).

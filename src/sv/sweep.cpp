@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/par.hpp"
 #include "sv/kernels.hpp"
-#include "sv/simd/simd.hpp"
 #include "sv/storage.hpp"
 
 namespace qsv::kern {
@@ -29,21 +28,8 @@ class TileView {
   [[nodiscard]] cplx get(amp_index i) const { return s_->get(offset_ + i); }
   void set(amp_index i, cplx v) { s_->set(offset_ + i, v); }
 
-  [[nodiscard]] real_t* re()
-    requires simd::SoaSpanAccess<S>
-  {
-    return s_->re() + offset_;
-  }
-  [[nodiscard]] real_t* im()
-    requires simd::SoaSpanAccess<S>
-  {
-    return s_->im() + offset_;
-  }
-  [[nodiscard]] cplx* data()
-    requires simd::AosSpanAccess<S>
-  {
-    return s_->data() + offset_;
-  }
+  [[nodiscard]] real_t* re() { return s_->re() + offset_; }
+  [[nodiscard]] real_t* im() { return s_->im() + offset_; }
 
  private:
   S* s_;
@@ -86,8 +72,6 @@ void apply_sweep_run(S& s, const Gate* gates, std::size_t count,
 }
 
 template void apply_sweep_run<SoaStorage>(SoaStorage&, const Gate*,
-                                          std::size_t, int, int, amp_index);
-template void apply_sweep_run<AosStorage>(AosStorage&, const Gate*,
                                           std::size_t, int, int, amp_index);
 
 }  // namespace qsv::kern

@@ -69,6 +69,14 @@ expect_exit 2 "$qsv" run "$tmp/c.qc" --deadline-s -1   # negative deadline
 expect_exit 2 "$qsv" serve --workers 0                 # serve usage errors
 expect_exit 2 "$qsv" serve --queue -3
 
+# --- transpile: pass names and the --local range ----------------------------
+qft8="$(dirname "$0")/../examples/circuits/qft8.qc"
+expect_exit 0 "$qsv" transpile "$qft8" --local 6 --pass cache
+expect_exit 2 "$qsv" transpile "$qft8" --local 6 --pass fusion   # removed
+expect_exit 2 "$qsv" transpile "$qft8" --local 6 --pass nope
+expect_exit 2 "$qsv" transpile "$qft8" --local 0
+expect_exit 2 "$qsv" transpile "$qft8" --local 99                # > 8 qubits
+
 # --- exit 6: deadline exceeded ----------------------------------------------
 # A deadline that has already passed cancels at the first gate boundary;
 # the partial cost (gates applied, modeled joules) is still reported.

@@ -267,17 +267,5 @@ TEST(Dist, StateDigestIsIndependentOfRanksAndEngine) {
   }
 }
 
-TEST(Dist, AosLayoutMatchesSoa) {
-  Rng rng(61);
-  const Circuit c = build_random(6, 50, rng);
-  DistStateVectorSoa soa(6, 4, small_msgs());
-  DistStateVectorAos aos(6, 4, small_msgs());
-  soa.apply(c);
-  aos.apply(c);
-  for (amp_index i = 0; i < 64; ++i) {
-    EXPECT_LT(std::abs(soa.amplitude(i) - aos.amplitude(i)), 1e-12);
-  }
-}
-
 }  // namespace
 }  // namespace qsv

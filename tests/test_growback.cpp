@@ -4,8 +4,8 @@
 // arms it, and the machine-derived tier energies that rank the tiers.
 //
 // The standing contract: shrink -> grow-back lands on amplitudes
-// bit-identical to the clean run, in the serial and threaded engines, for
-// both storage layouts, under every fault schedule tried here.
+// bit-identical to the clean run, in the serial and threaded engines, under
+// every fault schedule tried here.
 #include "dist/recovery_policy.hpp"
 
 #include <gtest/gtest.h>
@@ -155,18 +155,6 @@ TEST(GrowBack, InverseOfShrinkIsBitIdenticalThreaded) {
   // The re-grown engine keeps working at the restored width.
   sv.apply(make_h(5));
   clean.apply(make_h(5));
-  expect_global_identical(clean, sv);
-}
-
-TEST(GrowBack, InverseOfShrinkIsBitIdenticalAos) {
-  const Circuit c = elastic_circuit();
-  DistStateVector<AosStorage> clean(6, 4);
-  clean.apply(c);
-
-  DistStateVector<AosStorage> sv(6, 4);
-  sv.apply(c);
-  (void)sv.shrink_to_half(2);
-  (void)sv.grow_back_double();
   expect_global_identical(clean, sv);
 }
 

@@ -11,9 +11,7 @@
 #include "circuit/serialize.hpp"
 #include "circuit/transpile/cache_blocking.hpp"
 #include "circuit/transpile/cleanup.hpp"
-#include "circuit/transpile/fusion.hpp"
 #include "circuit/transpile/greedy_cache_blocking.hpp"
-#include "circuit/transpile/pass.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_statevector.hpp"
@@ -70,8 +68,8 @@ TEST(Integration, SerializeTranspileRunSnapshotObserve) {
 }
 
 TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {
-  // cleanup -> fusion -> greedy(lookahead): chained through PassManager on
-  // a workload with redundancy, runs and hot distributed qubits.
+  // cleanup -> greedy(lookahead), applied in turn to a workload with
+  // redundancy, runs and hot distributed qubits.
   Circuit c(9, "messy");
   Rng rng(5);
   // Redundant pair, a hot distributed qubit, and random filler.
@@ -81,14 +79,11 @@ TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {
   }
   c.append(build_random(9, 60, rng));
 
-  PassManager pm;
-  pm.add(std::make_unique<CleanupPass>());
-  pm.add(std::make_unique<FusionPass>());
   GreedyCacheBlockingOptions gopts;
   gopts.local_qubits = 6;
   gopts.min_reuse = 2;
-  pm.add(std::make_unique<GreedyCacheBlockingPass>(gopts));
-  const Circuit out = pm.run(c);
+  const Circuit cleaned = CleanupPass().run(c);
+  const Circuit out = GreedyCacheBlockingPass(gopts).run(cleaned);
 
   // Semantics preserved.
   StateVector sa(9);
@@ -102,8 +97,9 @@ TEST(Integration, FullPassPipelinePreservesSemanticsAndHelps) {
   sb.apply(out);
   EXPECT_LT(sa.max_amp_diff(sb), 1e-9);
 
-  // And the pipeline paid off on both axes.
-  EXPECT_LT(out.size(), c.size());
+  // And each pass paid off on its axis: cleanup cancels the redundant
+  // pair, greedy cuts the distributed gates.
+  EXPECT_LT(cleaned.size(), c.size());
   EXPECT_LT(analyze_locality(out, 6).distributed,
             analyze_locality(c, 6).distributed);
 }

@@ -25,7 +25,7 @@ S random_slice(amp_index n, std::uint64_t seed) {
 template <class S>
 class KernelsTyped : public testing::Test {};
 
-using Storages = testing::Types<SoaStorage, AosStorage>;
+using Storages = testing::Types<SoaStorage>;
 TYPED_TEST_SUITE(KernelsTyped, Storages);
 
 TYPED_TEST(KernelsTyped, SplitControls) {

@@ -164,7 +164,6 @@ void expect_reductions_width_independent() {
 
 TEST(ParReduce, StateVectorReductionsSameBitsAtEveryWidth) {
   expect_reductions_width_independent<SoaStorage>();
-  expect_reductions_width_independent<AosStorage>();
 }
 
 TEST(ParWidth, ShareSplitsTheCallersWidth) {

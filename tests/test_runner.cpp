@@ -4,7 +4,9 @@
 
 #include "circuit/builders.hpp"
 #include "common/error.hpp"
+#include "dist/trace.hpp"
 #include "machine/archer2.hpp"
+#include "perf/cost_model.hpp"
 
 namespace qsv {
 namespace {
@@ -35,6 +37,41 @@ TEST(Runner, ModelAndFunctionalAgreeOnCosts) {
   EXPECT_EQ(a.distributed_gates, b.distributed_gates);
   EXPECT_EQ(a.traffic.messages, b.traffic.messages);
   EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
+}
+
+TEST(Runner, PricePrefixMatchesGateByGateReference) {
+  // The deadline pricer must equal a hand-driven trace engine + cost model
+  // bit for bit at every prefix length, and run_model on the full circuit.
+  JobConfig job;
+  job.num_qubits = 10;
+  job.nodes = 8;
+  const Circuit qft = build_qft(10);
+  DistOptions opts;
+  opts.policy = CommPolicy::kNonBlocking;
+  opts.max_message_bytes = 256;
+
+  const std::uint64_t n = qft.size();
+  for (const std::uint64_t k : {std::uint64_t{0}, n / 2, n}) {
+    TraceSim sim(10, job.nodes, opts);
+    CostModel cost(m(), job);
+    sim.set_listener(&cost);
+    for (std::uint64_t g = 0; g < k; ++g) {
+      sim.apply(qft.gate(g));
+    }
+    const RunReport want = cost.report();
+    const RunReport got = price_prefix(qft, k, m(), job, opts);
+    EXPECT_EQ(got.runtime_s, want.runtime_s) << "k = " << k;
+    EXPECT_EQ(got.total_energy_j(), want.total_energy_j()) << "k = " << k;
+    if (k == n / 2) {
+      EXPECT_GT(got.total_energy_j(), 0) << "a half prefix costs something";
+    }
+    if (k == n) {
+      const RunReport full = run_model(qft, m(), job, opts);
+      EXPECT_EQ(got.runtime_s, full.runtime_s);
+      EXPECT_EQ(got.total_energy_j(), full.total_energy_j());
+    }
+  }
+  EXPECT_THROW((void)price_prefix(qft, n + 1, m(), job, opts), Error);
 }
 
 TEST(Runner, RegisterMismatchThrows) {

@@ -182,13 +182,6 @@ TEST(SimdBitIdentity, AllKernelsAllPositionsSoa) {
   }
 }
 
-TEST(SimdBitIdentity, AllKernelsAllPositionsAos) {
-  const Circuit c = all_positions_circuit(9);
-  for (Backend b : supported_backends()) {
-    check_backend_matches_scalar<AosStorage>(c, b);
-  }
-}
-
 // Registers small enough that every vector kernel hits its minimum-span
 // scalar fallback (2 and 4 amplitudes).
 TEST(SimdBitIdentity, TinyRegisters) {
@@ -196,7 +189,6 @@ TEST(SimdBitIdentity, TinyRegisters) {
     const Circuit c = all_positions_circuit(n);
     for (Backend b : supported_backends()) {
       check_backend_matches_scalar<SoaStorage>(c, b);
-      check_backend_matches_scalar<AosStorage>(c, b);
     }
   }
 }
@@ -213,7 +205,6 @@ TEST(SimdBitIdentity, SweepTilesOddSizes) {
     o.min_run = 2;
     for (Backend b : supported_backends()) {
       check_backend_matches_scalar<SoaStorage>(c, b, &o);
-      check_backend_matches_scalar<AosStorage>(c, b, &o);
     }
   }
 }
@@ -264,8 +255,7 @@ TEST(SimdBitIdentity, DistEngineAcrossBackends) {
   }
 }
 
-static_assert(simd::SoaSpanAccess<SoaStorage>);
-static_assert(simd::AosSpanAccess<AosStorage>);
+static_assert(simd::SpanAccess<SoaStorage>);
 
 // Correctness anchor (not just self-consistency): every backend against
 // the brute-force dense-matrix reference.

@@ -1,6 +1,6 @@
 // The sweep executor must be invisible except for speed: amplitude-for-
-// amplitude equivalence with gate-by-gate execution on every backend and
-// layout, and a grouping pass that never touches gate order.
+// amplitude equivalence with gate-by-gate execution on every backend, and
+// a grouping pass that never touches gate order.
 #include "sv/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -77,11 +77,11 @@ void expect_sweep_matches_naive(const Circuit& c, const SweepOptions& sweep) {
   EXPECT_LT(naive.max_amp_diff(swept), 1e-12);
 }
 
-using Layouts = testing::Types<SoaStorage, AosStorage>;
+using Storages = testing::Types<SoaStorage>;
 
 template <class S>
 class SweepEquivalence : public testing::Test {};
-TYPED_TEST_SUITE(SweepEquivalence, Layouts);
+TYPED_TEST_SUITE(SweepEquivalence, Storages);
 
 TYPED_TEST(SweepEquivalence, RandomCircuitsAcrossTileSizes) {
   for (int t = 1; t <= 5; ++t) {

@@ -7,7 +7,6 @@
 #include "circuit/transpile/cache_blocking.hpp"
 #include "circuit/transpile/cleanup.hpp"
 #include "circuit/transpile/greedy_cache_blocking.hpp"
-#include "circuit/transpile/pass.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sv/statevector.hpp"
@@ -310,22 +309,6 @@ TEST(Cleanup, PreservesSemantics) {
   Rng rng(77);
   const Circuit c = build_random(5, 80, rng);
   expect_equivalent(c, CleanupPass().run(c));
-}
-
-TEST(PassManager, RunsInOrder) {
-  PassManager pm;
-  CacheBlockingOptions copts;
-  copts.local_qubits = 5;
-  pm.add(std::make_unique<CacheBlockingPass>(copts));
-  pm.add(std::make_unique<CleanupPass>());
-  EXPECT_EQ(pm.num_passes(), 2u);
-  const Circuit qft = build_qft(7);
-  expect_equivalent(qft, pm.run(qft));
-}
-
-TEST(PassManager, RejectsNullPass) {
-  PassManager pm;
-  EXPECT_THROW(pm.add(nullptr), Error);
 }
 
 }  // namespace

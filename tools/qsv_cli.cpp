@@ -9,7 +9,7 @@
 //                 [--spares N] [--recovery TIERS]
 //                 [--machine (archer2 | overrides.machine)]
 //   qsv info <file.qc> --local L [--half-exchange]
-//   qsv transpile <file.qc> --local L [--pass cache|greedy|fusion|cleanup]
+//   qsv transpile <file.qc> --local L [--pass cache|greedy|cleanup]
 //                 [--min-reuse K] [--out out.qc]
 //   qsv price (<file.qc> | --qft N | --fast-qft N) [--nodes N] [--highmem]
 //             [--freq low|medium|high] [--half-exchange]
@@ -47,7 +47,6 @@
 #include "circuit/serialize.hpp"
 #include "circuit/transpile/cache_blocking.hpp"
 #include "circuit/transpile/cleanup.hpp"
-#include "circuit/transpile/fusion.hpp"
 #include "circuit/transpile/greedy_cache_blocking.hpp"
 #include "common/args.hpp"
 #include "common/bits.hpp"
@@ -109,6 +108,13 @@ int parse_int(const std::string& s, const std::string& what) {
   require_arg(!s.empty() && end != nullptr && *end == '\0',
               what + " needs an integer, got '" + s + "'");
   return static_cast<int>(v);
+}
+
+/// The `--machine` model: "archer2" (also the default) or an overrides
+/// file applied on top of the ARCHER2 calibration.
+MachineModel machine_arg(const ArgParser& args) {
+  const std::string name = args.value_or("machine", "archer2");
+  return name == "archer2" ? archer2() : load_machine_config(archer2(), name);
 }
 
 /// Environment fallback for a CLI option (flags win over env vars).
@@ -243,21 +249,15 @@ int cmd_run(int argc, const char* const* argv) {
   // energy-driven instead of the static cheapest-first order. The expected
   // replay window is half the checkpoint interval (failures land uniformly
   // between checkpoints) at the fault clock's one second per gate.
-  if (const auto machine = args.value("machine")) {
-    const MachineModel m = *machine == "archer2"
-                               ? archer2()
-                               : load_machine_config(archer2(), *machine);
-    JobConfig job;
-    job.num_qubits = c.num_qubits();
-    job.nodes = ranks;
-    TraceSim sim(c.num_qubits(), ranks, opts);
-    CostModel cost(m, job);
-    sim.set_listener(&cost);
-    sim.apply(c);
+  const MachineModel machine = machine_arg(args);
+  JobConfig job;
+  job.num_qubits = c.num_qubits();
+  job.nodes = ranks;
+  if (const auto name = args.value("machine")) {
     const double replay_s =
         interval > 0 ? interval / 2.0 : c.size() / 2.0;
-    const TierEnergies te =
-        tier_energies_from_machine(m, job, cost.report(), replay_s);
+    const TierEnergies te = tier_energies_from_machine(
+        machine, job, run_model(c, machine, job, opts), replay_s);
     elastic.substitute_energy_j = te.substitute_j;
     elastic.shrink_energy_j = te.shrink_j;
     elastic.grow_back_energy_j = te.grow_back_j;
@@ -269,7 +269,7 @@ int cmd_run(int argc, const char* const* argv) {
               << " shrink=" << fmt::fixed(te.shrink_j, 3)
               << " grow-back=" << fmt::fixed(te.grow_back_j, 3)
               << " restart=" << fmt::fixed(te.restart_j, 3) << " (replay "
-              << fmt::seconds(te.replay_s) << ", " << *machine << ")\n";
+              << fmt::seconds(te.replay_s) << ", " << *name << ")\n";
   }
 
   RecoveryPolicy policy;
@@ -320,20 +320,8 @@ int cmd_run(int argc, const char* const* argv) {
     // Partial cost report: price the applied prefix on the machine model so
     // the joules already burned are accounted, not discarded.
     std::cout << "deadline: " << e.what() << "\n";
-    const MachineModel m =
-        args.has("machine") && args.value_or("machine", "") != "archer2"
-            ? load_machine_config(archer2(), args.value_or("machine", ""))
-            : archer2();
-    JobConfig job;
-    job.num_qubits = c.num_qubits();
-    job.nodes = ranks;
-    TraceSim sim(c.num_qubits(), ranks, opts);
-    CostModel cost(m, job);
-    sim.set_listener(&cost);
-    for (std::uint64_t g = 0; g < e.gates_done(); ++g) {
-      sim.apply(c.gate(g));
-    }
-    const RunReport partial = cost.report();
+    const RunReport partial =
+        price_prefix(c, e.gates_done(), machine, job, opts);
     std::cout << "partial cost: " << e.gates_done() << " of "
               << e.gates_total() << " gates applied, modeled "
               << fmt::seconds(partial.runtime_s) << ", "
@@ -481,6 +469,8 @@ int cmd_transpile(int argc, const char* const* argv) {
               "usage: qsv transpile <file.qc> --local L --pass ...");
   const Circuit c = load_circuit(args.positionals()[0]);
   const int local = args.int_or("local", c.num_qubits());
+  require_arg(local >= 1 && local <= c.num_qubits(),
+              "--local must be in 1.." + std::to_string(c.num_qubits()));
   const std::string which = args.value_or("pass", "cache");
 
   std::unique_ptr<Pass> pass;
@@ -493,12 +483,10 @@ int cmd_transpile(int argc, const char* const* argv) {
     o.local_qubits = local;
     o.min_reuse = args.int_or("min-reuse", 2);
     pass = std::make_unique<GreedyCacheBlockingPass>(o);
-  } else if (which == "fusion") {
-    pass = std::make_unique<FusionPass>();
   } else if (which == "cleanup") {
     pass = std::make_unique<CleanupPass>();
   } else {
-    throw ArgError("--pass must be cache|greedy|fusion|cleanup");
+    throw ArgError("--pass must be cache|greedy|cleanup");
   }
 
   const Circuit out = pass->run(c);
@@ -788,9 +776,7 @@ int cmd_serve(int argc, const char* const* argv) {
               "--energy-budget must be >= 0 (0 = unlimited)");
 
   const std::string machine_s = args.value_or("machine", "archer2");
-  const MachineModel m = machine_s == "archer2"
-                             ? archer2()
-                             : load_machine_config(archer2(), machine_s);
+  const MachineModel m = machine_arg(args);
 
   // The self-pipe is the only async-signal-safe drain trigger: SIGTERM and
   // SIGINT write one byte, serve_until's poll wakes, the drain runs.
@@ -843,7 +829,7 @@ int usage() {
       << "            --placement compact|scatter|none (env QSV_PLACEMENT)\n"
       << "            pins rank threads and their slices to NUMA domains\n"
       << "  info      locality & communication analysis of a circuit file\n"
-      << "  transpile apply a pass (cache|greedy|fusion|cleanup)\n"
+      << "  transpile apply a pass (cache|greedy|cleanup)\n"
       << "  price     estimate runtime/energy/CU on the ARCHER2 model\n"
       << "            (--mtbf adds expected-energy and per-failure\n"
       << "             recovery-tier tables, --spares prices the spare\n"
