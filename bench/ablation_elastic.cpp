@@ -156,8 +156,10 @@ int main(int argc, char** argv) {
 
     std::string tiers;
     for (const RecoveryTier tier : stats.tiers_used) {
-      tiers += (tiers.empty() ? "" : ",") +
-               std::string(recovery_tier_name(tier));
+      if (!tiers.empty()) {
+        tiers += ',';
+      }
+      tiers += recovery_tier_name(tier);
     }
     t.row({std::to_string(seed), schedule, tiers.empty() ? "-" : tiers,
            std::to_string(stats.final_ranks),

@@ -257,8 +257,8 @@ std::size_t VirtualCluster::pending(rank_t from, rank_t to) const {
 
 void VirtualCluster::purge_pair(rank_t a, rank_t b) {
   std::lock_guard<std::mutex> lk(m_);
-  for (const auto key : {std::pair<rank_t, rank_t>{a, b},
-                         std::pair<rank_t, rank_t>{b, a}}) {
+  for (const auto& key : {std::pair<rank_t, rank_t>{a, b},
+                          std::pair<rank_t, rank_t>{b, a}}) {
     const auto it = queues_.find(key);
     if (it != queues_.end()) {
       in_flight_ -= it->second.size();
@@ -272,8 +272,8 @@ void VirtualCluster::purge_pair(rank_t a, rank_t b) {
 
 void VirtualCluster::purge_tag(rank_t a, rank_t b, int tag) {
   std::lock_guard<std::mutex> lk(m_);
-  for (const auto key : {std::pair<rank_t, rank_t>{a, b},
-                         std::pair<rank_t, rank_t>{b, a}}) {
+  for (const auto& key : {std::pair<rank_t, rank_t>{a, b},
+                          std::pair<rank_t, rank_t>{b, a}}) {
     const auto it = queues_.find(key);
     if (it == queues_.end()) {
       continue;
@@ -353,41 +353,6 @@ void VirtualCluster::reset_queues() {
 bool VirtualCluster::quiescent() const {
   std::lock_guard<std::mutex> lk(m_);
   return in_flight_ == 0;
-}
-
-void VirtualCluster::barrier() {
-  std::lock_guard<std::mutex> lk(m_);
-  ++stats_.barriers;
-  stats_.barrier_arrivals += static_cast<std::uint64_t>(num_ranks_);
-}
-
-void VirtualCluster::barrier(rank_t r) {
-  check_rank(r);
-  std::unique_lock<std::mutex> lk(m_);
-  ++stats_.barrier_arrivals;
-  const std::uint64_t epoch = barrier_epoch_;
-  if (++barrier_waiting_ == num_ranks_) {
-    barrier_waiting_ = 0;
-    ++barrier_epoch_;
-    ++stats_.barriers;
-    cv_barrier_.notify_all();
-    return;
-  }
-  const bool released =
-      cv_barrier_.wait_for(lk, deadline_of(recv_deadline_s_),
-                           [&] { return barrier_epoch_ != epoch; });
-  if (!released) {
-    // Withdraw so a later complete barrier is not corrupted by our ghost;
-    // the arrival stat is withdrawn too, preserving the invariant that
-    // every completed barrier contributes exactly one arrival per rank.
-    --barrier_waiting_;
-    --stats_.barrier_arrivals;
-    throw CommTimeout("barrier: rank " + std::to_string(r) +
-                      " waited " + std::to_string(recv_deadline_s_) +
-                      " s but only " + std::to_string(barrier_waiting_ + 1) +
-                      " of " + std::to_string(num_ranks_) +
-                      " ranks arrived");
-  }
 }
 
 int message_count(std::uint64_t total_bytes, std::size_t max_message_bytes) {

@@ -174,13 +174,12 @@ namespace {
 /// sink so the reads cannot be optimised away).
 double time_stream(const std::vector<char>& buf) {
   char sink[64];
+  volatile char keep = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i + sizeof sink <= buf.size(); i += 4096) {
     std::memcpy(sink, buf.data() + i, sizeof sink);
-    // Data-dependence on the sink keeps the loop live.
-    if (sink[0] == 0x7f) {
-      buf.size();
-    }
+    // A volatile store depending on the sink keeps the loop live.
+    keep = static_cast<char>(keep ^ sink[0]);
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();

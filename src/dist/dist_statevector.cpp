@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/bits.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
 
@@ -43,9 +42,7 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     host_cpus_ = topo.total_cpus;
     PlacementPlan plan =
         plan_placement(topo, num_ranks, opts_.threading.placement);
-    if (opts_.threading.numa_remote_bw_ratio > 0) {
-      numa_ratio_ = std::max(1.0, opts_.threading.numa_remote_bw_ratio);
-    } else if (numa_domains_ > 1) {
+    if (numa_domains_ > 1) {
       numa_ratio_ = measure_numa_bandwidth_ratio(topo);
     }
     team_ = std::make_unique<RankTeam>(num_ranks, std::move(plan));
@@ -53,15 +50,12 @@ DistStateVector<S>::DistStateVector(int num_qubits, int num_ranks,
     // Mailbox capacity: one full exchange direction at the widest slice any
     // shrink can reach (half the state), so the non-blocking policy (all
     // sends posted before any recv) can never stall on backpressure.
-    std::size_t capacity = opts_.threading.mailbox_capacity;
-    if (capacity == 0) {
-      const std::uint64_t widest_bytes =
-          (std::uint64_t{1} << (num_qubits_ - 1)) * kBytesPerAmp;
-      capacity = static_cast<std::size_t>(
-          (widest_bytes + opts_.max_message_bytes - 1) /
-          opts_.max_message_bytes);
-    }
-    cluster_.enable_concurrent(std::max<std::size_t>(1, capacity));
+    const std::uint64_t widest_bytes =
+        (std::uint64_t{1} << (num_qubits_ - 1)) * kBytesPerAmp;
+    const std::size_t capacity = static_cast<std::size_t>(
+        (widest_bytes + opts_.max_message_bytes - 1) /
+        opts_.max_message_bytes);
+    cluster_.enable_concurrent(capacity);
 
     // First touch: each rank thread allocates and zero-fills its own slice,
     // recv buffer and packing scratch, so the pages land in the NUMA domain
@@ -106,10 +100,7 @@ DistStateVector<S>::thread_summary() const {
 
 template <class S>
 void DistStateVector<S>::init_zero_state() {
-  for (auto& s : slices_) {
-    s.fill_zero();
-  }
-  slices_[0].set(0, cplx{1, 0});
+  init_basis_state(0);
 }
 
 template <class S>
@@ -125,8 +116,11 @@ void DistStateVector<S>::init_basis_state(amp_index index) {
 template <class S>
 void DistStateVector<S>::init_from(const BasicStateVector<S>& sv) {
   QSV_REQUIRE(sv.num_qubits() == num_qubits_, "register size mismatch");
-  for (amp_index g = 0; g < sv.num_amps(); ++g) {
-    set_amplitude(g, sv.amplitude(g));
+  const amp_index n = local_amps();
+  for (rank_t r = 0; r < num_ranks(); ++r) {
+    const amp_index first = static_cast<amp_index>(r) * n;
+    std::copy_n(sv.storage().re() + first, n, slices_[r].re());
+    std::copy_n(sv.storage().im() + first, n, slices_[r].im());
   }
 }
 
@@ -657,19 +651,17 @@ ReshardPlan DistStateVector<S>::shrink_to_half(rank_t dead_rank) {
     // movement either way for this one pair.
     const bool dead_pair = lo == dead_rank || hi == dead_rank;
     S s(n_local * 2);
-    for (amp_index first = 0; first < n_local; first += chunk_amps) {
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      slices_[lo].pack(first, count, buf);
-      s.unpack(first, count, buf);
-    }
-    for (amp_index first = 0; first < n_local; first += chunk_amps) {
-      const amp_index count = std::min(chunk_amps, n_local - first);
-      const std::size_t bytes = slices_[hi].pack(first, count, buf);
-      if (!dead_pair) {
-        cluster_.send(hi, lo, {buf, bytes});
-        cluster_.recv(hi, lo, {buf, bytes});
+    for (const rank_t src : {lo, hi}) {
+      const amp_index base = src == lo ? 0 : n_local;
+      for (amp_index first = 0; first < n_local; first += chunk_amps) {
+        const amp_index count = std::min(chunk_amps, n_local - first);
+        const std::size_t bytes = slices_[src].pack(first, count, buf);
+        if (src == hi && !dead_pair) {
+          cluster_.send(hi, lo, {buf, bytes});
+          cluster_.recv(hi, lo, {buf, bytes});
+        }
+        s.unpack(base + first, count, buf);
       }
-      s.unpack(n_local + first, count, buf);
     }
     merged.push_back(std::move(s));
   }
@@ -877,18 +869,10 @@ real_t DistStateVector<S>::probability_of_one(qubit_t qubit) const {
   QSV_REQUIRE(qubit >= 0 && qubit < num_qubits_, "qubit out of range");
   real_t p = 0;
   for (rank_t r = 0; r < num_ranks(); ++r) {
-    if (qubit >= local_qubits_) {
-      if (bits::bit(static_cast<amp_index>(r), qubit - local_qubits_) == 0) {
-        continue;
-      }
-      for (amp_index i = 0; i < local_amps(); ++i) {
+    const amp_index base = static_cast<amp_index>(r) << local_qubits_;
+    for (amp_index i = 0; i < local_amps(); ++i) {
+      if (bits::bit(base | i, qubit)) {
         p += std::norm(slices_[r].get(i));
-      }
-    } else {
-      for (amp_index i = 0; i < local_amps(); ++i) {
-        if (bits::bit(i, qubit)) {
-          p += std::norm(slices_[r].get(i));
-        }
       }
     }
   }
@@ -914,14 +898,9 @@ int DistStateVector<S>::measure(qubit_t qubit, Rng& rng) {
   QSV_REQUIRE(keep_p > 0, "measured an outcome with zero probability");
   const real_t scale = 1 / std::sqrt(keep_p);
   for (rank_t r = 0; r < num_ranks(); ++r) {
-    const bool rank_bit_known = qubit >= local_qubits_;
-    const int rank_bit =
-        rank_bit_known
-            ? bits::bit(static_cast<amp_index>(r), qubit - local_qubits_)
-            : 0;
+    const amp_index base = static_cast<amp_index>(r) << local_qubits_;
     for (amp_index i = 0; i < local_amps(); ++i) {
-      const int b = rank_bit_known ? rank_bit : bits::bit(i, qubit);
-      if (b == outcome) {
+      if (bits::bit(base | i, qubit) == outcome) {
         slices_[r].set(i, slices_[r].get(i) * scale);
       } else {
         slices_[r].set(i, cplx{0, 0});
@@ -934,24 +913,17 @@ int DistStateVector<S>::measure(qubit_t qubit, Rng& rng) {
 template <class S>
 std::uint32_t DistStateVector<S>::slice_crc(rank_t r) const {
   QSV_REQUIRE(r >= 0 && r < num_ranks(), "rank out of range");
-  constexpr amp_index kChunkAmps = amp_index{1} << 12;
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(std::min(local_amps(), kChunkAmps)) *
-      kBytesPerAmp);
-  Crc32 crc;
-  for (amp_index first = 0; first < local_amps(); first += kChunkAmps) {
-    const amp_index count = std::min(kChunkAmps, local_amps() - first);
-    const std::size_t bytes = slices_[r].pack(first, count, buf.data());
-    crc.update(buf.data(), bytes);
-  }
-  return crc.value();
+  return packed_crc(slices().subspan(static_cast<std::size_t>(r), 1));
 }
 
 template <class S>
 BasicStateVector<S> DistStateVector<S>::gather() const {
   BasicStateVector<S> sv(num_qubits_);
-  for (amp_index g = 0; g < (amp_index{1} << num_qubits_); ++g) {
-    sv.set_amplitude(g, amplitude(g));
+  const amp_index n = local_amps();
+  for (rank_t r = 0; r < num_ranks(); ++r) {
+    const amp_index first = static_cast<amp_index>(r) * n;
+    std::copy_n(slices_[r].re(), n, sv.storage().re() + first);
+    std::copy_n(slices_[r].im(), n, sv.storage().im() + first);
   }
   return sv;
 }

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -107,6 +108,12 @@ class DistStateVector {
   [[nodiscard]] cplx amplitude(amp_index global) const;
   void set_amplitude(amp_index global, cplx v);
 
+  /// Every rank's resident amplitudes: slices()[r] holds global indices
+  /// [r * local_amps(), (r + 1) * local_amps()). Whole-state reads (the
+  /// digest, observables, checkpoint files) walk them rank by rank.
+  [[nodiscard]] std::span<const S> slices() const { return slices_; }
+  [[nodiscard]] std::span<S> slices() { return slices_; }
+
   /// Reduction across ranks, as QuEST computes it (local sums + allreduce).
   [[nodiscard]] real_t probability_of_one(qubit_t qubit) const;
   [[nodiscard]] real_t norm_sq() const;
@@ -122,7 +129,6 @@ class DistStateVector {
   [[nodiscard]] const CommStats& comm_stats() const {
     return cluster_.stats();
   }
-  void reset_comm_stats() { cluster_.reset_stats(); }
 
   /// Attaches an event listener (cost model or test recorder); may be null.
   void set_listener(ExecListener* listener) { listener_ = listener; }
@@ -155,8 +161,9 @@ class DistStateVector {
   /// Counters over every cache-tiled sweep run executed so far.
   [[nodiscard]] const SweepStats& sweep_stats() const { return sweep_stats_; }
 
-  /// CRC-32 over rank `r`'s resident amplitudes (the guard layer's slice
-  /// signature: captured at checkpoints, verified after restores).
+  /// CRC-32 over rank `r`'s packed amplitudes, i.e. of rank r's span of
+  /// the `state crc32` stream (the guard layer's slice signature: captured
+  /// at checkpoints, verified after restores).
   [[nodiscard]] std::uint32_t slice_crc(rank_t r) const;
 
   /// True when options().threading selected the ranks-as-threads engine.

@@ -4,10 +4,10 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
+#include <span>
 #include <sstream>
 
 #include "common/bits.hpp"
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace qsv {
@@ -44,20 +44,49 @@ TermMasks masks_of(const PauliTerm& term) {
   return m;
 }
 
-/// Phase factor applied to source basis state j: product of the Z signs and
-/// Y's +/-i factors.
-cplx phase_of(const TermMasks& m, amp_index j) {
-  // Z: (-1)^popcount(j & z_mask). Y on source bit b: i * (-1)^b.
-  int minus = std::popcount(j & m.z_mask);
-  minus += std::popcount(j & m.y_mask);  // each set Y source bit flips sign
+/// Phase factor applied to a source basis state with `minus` set Z and Y
+/// bits: (-1)^minus for the Z signs and Y's source bits (Y on source bit b
+/// is i * (-1)^b), times i^y_count.
+cplx phase_of(int minus, int y_count) {
   cplx f = (minus & 1) ? cplx{-1, 0} : cplx{1, 0};
-  switch (m.y_count % 4) {  // i^y_count
+  switch (y_count % 4) {  // i^y_count
     case 1: f *= cplx{0, 1}; break;
     case 2: f *= cplx{-1, 0}; break;
     case 3: f *= cplx{0, -1}; break;
     default: break;
   }
   return f;
+}
+
+/// The one Pauli loop: the sum over global index i of
+/// conj(a_i) * phase(j) * a_j with j = i ^ x_flip, walked slice by
+/// slice. One accumulator runs through the slices in rank order, so the
+/// sum is the global-index-order sum at every rank width. Rank r's local
+/// index i pairs with the partner slice r ^ (x_flip >> local_qubits) at
+/// local index i ^ (x_flip & mask); the X/Y flip may cross into a peer
+/// slice (conceptually the exchanged buffer; here a direct read).
+template <class S>
+cplx bracket(std::span<const S> slices, int local_qubits, const TermMasks& m) {
+  const amp_index n_local = amp_index{1} << local_qubits;
+  const amp_index local_flip = m.x_flip & (n_local - 1);
+  const std::size_t rank_flip =
+      static_cast<std::size_t>(m.x_flip >> local_qubits);
+  // The phase depends only on the parity of j's Z and Y bits.
+  const amp_index sign_mask = m.z_mask ^ m.y_mask;
+  const cplx phase[2] = {phase_of(0, m.y_count), phase_of(1, m.y_count)};
+  cplx acc = 0;
+  for (std::size_t r = 0; r < slices.size(); ++r) {
+    const S& a = slices[r];
+    const S& b = slices[r ^ rank_flip];
+    const amp_index partner_base = static_cast<amp_index>(r ^ rank_flip)
+                                   << local_qubits;
+    for (amp_index i = 0; i < n_local; ++i) {
+      const amp_index j = i ^ local_flip;
+      const int odd = std::popcount((partner_base | j) & sign_mask) & 1;
+      acc += std::conj(a.get(i)) * phase[odd] * b.get(j);
+    }
+  }
+  return acc;
 }
 
 }  // namespace
@@ -160,14 +189,9 @@ template <class S>
 cplx pauli_bracket(const BasicStateVector<S>& sv, const PauliTerm& term) {
   QSV_REQUIRE(term.max_qubit() < sv.num_qubits(),
               "pauli term exceeds the register");
-  const TermMasks m = masks_of(term);
-  cplx acc = 0;
-  const amp_index n = sv.num_amps();
-  for (amp_index i = 0; i < n; ++i) {
-    const amp_index j = i ^ m.x_flip;
-    acc += std::conj(sv.amplitude(i)) * phase_of(m, j) * sv.amplitude(j);
-  }
-  return acc * term.coefficient;
+  return bracket(std::span<const S>(&sv.storage(), 1), sv.num_qubits(),
+                 masks_of(term)) *
+         term.coefficient;
 }
 
 template <class S>
@@ -188,16 +212,9 @@ template <class S>
 real_t expectation(const DistStateVector<S>& sv, const PauliTerm& term) {
   QSV_REQUIRE(term.max_qubit() < sv.num_qubits(),
               "pauli term exceeds the register");
-  const TermMasks m = masks_of(term);
-  // Per-rank partial sums over local indices; the X/Y flip may cross into a
-  // peer slice (conceptually the exchanged buffer; here a direct read).
-  cplx acc = 0;
-  const amp_index total = amp_index{1} << sv.num_qubits();
-  for (amp_index i = 0; i < total; ++i) {
-    const amp_index j = i ^ m.x_flip;
-    acc += std::conj(sv.amplitude(i)) * phase_of(m, j) * sv.amplitude(j);
-  }
-  return (acc * term.coefficient).real();
+  return (bracket(sv.slices(), sv.local_qubits(), masks_of(term)) *
+          term.coefficient)
+      .real();
 }
 
 template <class S>
@@ -211,16 +228,8 @@ real_t expectation(const DistStateVector<S>& sv, const PauliSum& sum) {
 
 template <class S>
 std::string state_digest(const DistStateVector<S>& sv) {
-  Crc32 crc;
-  for (amp_index g = 0; g < (amp_index{1} << sv.num_qubits()); ++g) {
-    const cplx a = sv.amplitude(g);
-    const double re = a.real();
-    const double im = a.imag();
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-  }
   char digest[16];
-  std::snprintf(digest, sizeof digest, "%08x", crc.value());
+  std::snprintf(digest, sizeof digest, "%08x", packed_crc(sv.slices()));
   return digest;
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -70,42 +71,25 @@ Header read_header(std::ifstream& in, const std::string& path) {
   return h;
 }
 
-template <class GetAmp>
-void write_amps(std::ofstream& out, amp_index count, GetAmp get,
-                Crc32& crc) {
-  for (amp_index i = 0; i < count; ++i) {
-    const cplx a = get(i);
-    const real_t re = a.real();
-    const real_t im = a.imag();
-    out.write(reinterpret_cast<const char*>(&re), sizeof re);
-    out.write(reinterpret_cast<const char*>(&im), sizeof im);
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
+/// Reads the packed payload into `slices`, in order, through one staging
+/// buffer, folding the bytes into `crc` when one is given.
+template <class S>
+void read_payload(std::ifstream& in, const std::string& path,
+                  std::span<S> slices, Crc32* crc) {
+  std::vector<std::byte> stage(kStageAmps * kBytesPerAmp);
+  for (S& s : slices) {
+    for (amp_index first = 0; first < s.size(); first += kStageAmps) {
+      const amp_index count = std::min(kStageAmps, s.size() - first);
+      const std::size_t bytes = count * kBytesPerAmp;
+      in.read(reinterpret_cast<char*>(stage.data()),
+              static_cast<std::streamsize>(bytes));
+      QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
+      if (crc != nullptr) {
+        crc->update(stage.data(), bytes);
+      }
+      s.unpack(first, count, stage.data());
+    }
   }
-}
-
-template <class SetAmp>
-void read_amps(std::ifstream& in, const std::string& path,
-               const Header& header, amp_index count, SetAmp set) {
-  Crc32 crc;
-  for (amp_index i = 0; i < count; ++i) {
-    real_t re = 0;
-    real_t im = 0;
-    in.read(reinterpret_cast<char*>(&re), sizeof re);
-    in.read(reinterpret_cast<char*>(&im), sizeof im);
-    QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-    crc.update(&re, sizeof re);
-    crc.update(&im, sizeof im);
-    set(i, cplx{re, im});
-  }
-  QSV_REQUIRE(!header.has_crc || crc.value() == header.crc,
-              "snapshot payload CRC mismatch (corrupt): " + path);
-}
-
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  QSV_REQUIRE(out.good(), "cannot open snapshot for writing: " + path);
-  return out;
 }
 
 std::ifstream open_in(const std::string& path) {
@@ -114,21 +98,36 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-/// Writes the whole snapshot to `<path>.tmp` (patching the CRC slot once
-/// the payload is known) and commits it with an atomic rename.
-template <class GetAmp>
+/// Opens `path` and reads its header, which must hold `num_qubits`.
+std::ifstream open_for(const std::string& path, int num_qubits, Header& h) {
+  std::ifstream in = open_in(path);
+  h = read_header(in, path);
+  QSV_REQUIRE(h.num_qubits == num_qubits,
+              "snapshot holds " + std::to_string(h.num_qubits) +
+                  " qubits, register has " + std::to_string(num_qubits));
+  return in;
+}
+
+/// Writes `slices`, in order, to `<path>.tmp` (patching the header's CRC
+/// slot once the payload is known) and commits it with an atomic rename.
+template <class S>
 void write_snapshot(const std::string& path, int num_qubits, int ranks,
-                    amp_index count, GetAmp get) {
+                    std::span<const S> slices) {
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out = open_out(tmp);
+    std::ofstream out(tmp, std::ios::binary);
+    QSV_REQUIRE(out.good(), "cannot open snapshot for writing: " + tmp);
     out.write(kMagicV2, sizeof kMagicV2);
     write_u32(out, kSnapshotFormatVersion);
     write_u32(out, static_cast<std::uint32_t>(num_qubits));
     write_u32(out, 0);  // CRC placeholder
     write_u32(out, static_cast<std::uint32_t>(ranks));  // rank-width tag
     Crc32 crc;
-    write_amps(out, count, get, crc);
+    pack_chunks(slices, [&](const std::byte* p, std::size_t n) {
+      out.write(reinterpret_cast<const char*>(p),
+                static_cast<std::streamsize>(n));
+      crc.update(p, n);
+    });
     out.seekp(kCrcOffset);
     write_u32(out, crc.value());
     QSV_REQUIRE(out.good(), "short write while snapshotting: " + tmp);
@@ -137,41 +136,39 @@ void write_snapshot(const std::string& path, int num_qubits, int ranks,
               "cannot commit snapshot " + tmp + " -> " + path);
 }
 
+/// Loads a whole snapshot into `slices`, in order, and checks its CRC.
+template <class S>
+void load_slices(const std::string& path, int num_qubits,
+                 std::span<S> slices) {
+  Header h;
+  std::ifstream in = open_for(path, num_qubits, h);
+  Crc32 crc;
+  read_payload(in, path, slices, &crc);
+  QSV_REQUIRE(!h.has_crc || crc.value() == h.crc,
+              "snapshot payload CRC mismatch (corrupt): " + path);
+}
+
 }  // namespace
 
 template <class S>
 void save_state(const std::string& path, const BasicStateVector<S>& sv) {
-  write_snapshot(path, sv.num_qubits(), /*ranks=*/1, sv.num_amps(),
-                 [&](amp_index i) { return sv.amplitude(i); });
+  write_snapshot(path, sv.num_qubits(), /*ranks=*/1,
+                 std::span<const S>(&sv.storage(), 1));
 }
 
 template <class S>
 void save_state(const std::string& path, const DistStateVector<S>& sv) {
-  write_snapshot(path, sv.num_qubits(), sv.num_ranks(),
-                 amp_index{1} << sv.num_qubits(),
-                 [&](amp_index i) { return sv.amplitude(i); });
+  write_snapshot(path, sv.num_qubits(), sv.num_ranks(), sv.slices());
 }
 
 template <class S>
 void load_state(const std::string& path, BasicStateVector<S>& sv) {
-  std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
-  read_amps(in, path, h, sv.num_amps(),
-            [&](amp_index i, cplx v) { sv.set_amplitude(i, v); });
+  load_slices(path, sv.num_qubits(), std::span<S>(&sv.storage(), 1));
 }
 
 template <class S>
 void load_state(const std::string& path, DistStateVector<S>& sv) {
-  std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
-  read_amps(in, path, h, amp_index{1} << h.num_qubits,
-            [&](amp_index i, cplx v) { sv.set_amplitude(i, v); });
+  load_slices(path, sv.num_qubits(), sv.slices());
 }
 
 int snapshot_qubits(const std::string& path) {
@@ -188,11 +185,8 @@ template <class S>
 void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
                      rank_t r) {
   QSV_REQUIRE(r >= 0 && r < sv.num_ranks(), "rank out of range");
-  std::ifstream in = open_in(path);
-  const Header h = read_header(in, path);
-  QSV_REQUIRE(h.num_qubits == sv.num_qubits(),
-              "snapshot holds " + std::to_string(h.num_qubits) +
-                  " qubits, register has " + std::to_string(sv.num_qubits()));
+  Header h;
+  std::ifstream in = open_for(path, sv.num_qubits(), h);
   // Rank slices are only meaningful at the geometry they were written at:
   // after a shrink or grow-back, rank r's span of an old-width snapshot is
   // a different piece of the state than the caller means. Untagged legacy
@@ -203,18 +197,11 @@ void load_rank_slice(const std::string& path, DistStateVector<S>& sv,
                   std::to_string(sv.num_ranks()) +
                   " (re-shard geometry mismatch): " + path);
   const std::streamoff payload = in.tellg();
-  const amp_index n_local = sv.local_amps();
-  const amp_index first = static_cast<amp_index>(r) * n_local;
+  const amp_index first = static_cast<amp_index>(r) * sv.local_amps();
   in.seekg(payload + static_cast<std::streamoff>(first * kBytesPerAmp));
   QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-  for (amp_index i = 0; i < n_local; ++i) {
-    real_t re = 0;
-    real_t im = 0;
-    in.read(reinterpret_cast<char*>(&re), sizeof re);
-    in.read(reinterpret_cast<char*>(&im), sizeof im);
-    QSV_REQUIRE(in.good(), "snapshot truncated: " + path);
-    sv.set_amplitude(first + i, cplx{re, im});
-  }
+  read_payload(in, path, sv.slices().subspan(static_cast<std::size_t>(r), 1),
+               nullptr);
 }
 
 CheckpointStore::CheckpointStore(std::string dir, int keep_last)

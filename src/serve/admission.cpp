@@ -61,13 +61,19 @@ AdmissionDecision AdmissionController::decide(const JobRequest& req) const {
     return d;
   }
 
+  // Every job runs and is priced at one configuration: standard nodes at
+  // the default frequency, one rank per node, the default engine options.
+  JobConfig job;
+  job.num_qubits = d.num_qubits;
+  job.nodes = req.ranks;
+
   // Memory: the paper's slice + exchange-buffer rule against the machine
   // model's usable bytes per node.
-  if (!fits(machine_, d.num_qubits, limits_.node_kind, req.ranks)) {
+  if (!fits(machine_, d.num_qubits, job.node_kind, req.ranks)) {
     d.reason = std::to_string(d.num_qubits) + " qubits need " +
                std::to_string(per_node_bytes(d.num_qubits, req.ranks)) +
                " bytes per node on " + std::to_string(req.ranks) + " " +
-               node_kind_name(limits_.node_kind) +
+               node_kind_name(job.node_kind) +
                " nodes — over the machine model's budget";
     return d;
   }
@@ -87,18 +93,13 @@ AdmissionDecision AdmissionController::decide(const JobRequest& req) const {
       plan->transpiled = circuit_to_text(blocked) != req.circuit_text;
       plan->circuit = blocked;
     }
-    DistOptions opts;
-    opts.policy = limits_.policy;
-    plan->runs =
-        plan_sweep_runs(plan->circuit.gates(), local_qubits, opts.sweep);
+    plan->job = job;
+    plan->runs = plan_sweep_runs(plan->circuit.gates(), local_qubits,
+                                 plan->opts.sweep);
     // Price the full circuit once on the trace engine: the admission
     // energy check and the fleet's joules/request both read this.
-    JobConfig job;
-    job.num_qubits = d.num_qubits;
-    job.node_kind = limits_.node_kind;
-    job.freq = limits_.freq;
-    job.nodes = d.ranks;
-    plan->estimate = run_model(plan->circuit, machine_, job, opts);
+    plan->estimate =
+        run_model(plan->circuit, machine_, plan->job, plan->opts);
     return plan;
   });
   d.cache_hit = !built;

@@ -21,8 +21,6 @@
 #include <memory>
 #include <string>
 
-#include "dist/options.hpp"
-#include "machine/job.hpp"
 #include "machine/machine.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
@@ -37,10 +35,6 @@ struct AdmissionLimits {
   int max_qubits = 22;
   /// Modeled per-job energy budget in joules; 0 = unlimited.
   double energy_budget_j = 0;
-  NodeKind node_kind = NodeKind::kStandard;
-  CpuFreq freq = CpuFreq::kMedium2000;
-  /// Exchange policy jobs run (and are priced) under.
-  CommPolicy policy = CommPolicy::kBlocking;
 };
 
 struct AdmissionDecision {

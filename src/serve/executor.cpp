@@ -12,19 +12,18 @@
 namespace qsv::serve {
 
 ExecResult execute_job(QueuedJob& job, const MachineModel& machine,
-                       const AdmissionLimits& limits, double queue_s) {
+                       double queue_s) {
   ExecResult result;
-  const Circuit& c = job.plan->circuit;
+  const CachedPlan& plan = *job.plan;
+  const Circuit& c = plan.circuit;
   try {
-    DistOptions opts;
-    opts.policy = limits.policy;
-    DistStateVector<SoaStorage> sv(job.num_qubits, job.ranks, opts);
+    DistStateVector<SoaStorage> sv(job.num_qubits, job.ranks, plan.opts);
 
     // A deadline that elapsed while the job queued cancels before any gate
     // — still a typed "deadline" response with a zero-gate prefix.
     std::uint64_t gates_done = 0;
     try {
-      for (const GateRun& run : job.plan->runs) {
+      for (const GateRun& run : plan.runs) {
         if (job.token.possible() && job.token.expired()) {
           throw DeadlineExceeded("deadline exceeded at gate " +
                                      std::to_string(gates_done) + " of " +
@@ -35,13 +34,8 @@ ExecResult execute_job(QueuedJob& job, const MachineModel& machine,
         gates_done += run.count;
       }
     } catch (const DeadlineExceeded& d) {
-      JobConfig jc;
-      jc.num_qubits = job.num_qubits;
-      jc.node_kind = limits.node_kind;
-      jc.freq = limits.freq;
-      jc.nodes = job.ranks;
       const RunReport partial =
-          price_prefix(c, d.gates_done(), machine, jc, opts);
+          price_prefix(c, d.gates_done(), machine, plan.job, plan.opts);
       JsonObject o;
       o["id"] = job.id;
       o["status"] = "deadline";
@@ -57,7 +51,7 @@ ExecResult execute_job(QueuedJob& job, const MachineModel& machine,
       return result;
     }
 
-    const RunReport& full = job.plan->estimate;
+    const RunReport& full = plan.estimate;
     JsonObject o;
     o["id"] = job.id;
     o["status"] = "ok";

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "machine/machine.hpp"
-#include "serve/admission.hpp"
 #include "serve/queue.hpp"
 
 namespace qsv::serve {
@@ -23,13 +22,14 @@ struct ExecResult {
 };
 
 /// Runs `job` to completion or its deadline: allocates the statevector at
-/// the job's (qubits, ranks) decomposition, applies the cached plan run by
-/// run with the stop token polled at each safe point, and digests the final
-/// state exactly like `qsv run` prints `state crc32:` (digest identity is
-/// the service's correctness contract). Never throws.
+/// the job's (qubits, ranks) decomposition with the plan's engine options,
+/// applies the cached plan run by run with the stop token polled at each
+/// safe point, and digests the final state exactly like `qsv run` prints
+/// `state crc32:` (digest identity is the service's correctness contract).
+/// A deadline prefix is priced under the plan's job configuration, the one
+/// its full-run estimate used. Never throws.
 [[nodiscard]] ExecResult execute_job(QueuedJob& job,
                                      const MachineModel& machine,
-                                     const AdmissionLimits& limits,
                                      double queue_s);
 
 }  // namespace qsv::serve

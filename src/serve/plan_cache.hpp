@@ -19,6 +19,8 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/sweep_plan.hpp"
+#include "dist/options.hpp"
+#include "machine/job.hpp"
 #include "perf/report.hpp"
 
 namespace qsv::serve {
@@ -39,6 +41,10 @@ struct CachedPlan {
 
   /// The (possibly cache-blocking-transpiled) circuit the executor runs.
   Circuit circuit;
+  /// The job configuration and engine options the plan was priced under;
+  /// the executor runs and prices deadline prefixes with these same values.
+  JobConfig job;
+  DistOptions opts;
   /// Sweep runs planned at this decomposition's local qubit count.
   std::vector<GateRun> runs;
   /// Modeled full-circuit cost on the server's machine model (admission's

@@ -337,7 +337,7 @@ void Server::worker_loop() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       job->admitted_at)
             .count();
-    ExecResult r = execute_job(*job, machine_, opts_.limits, queue_s);
+    ExecResult r = execute_job(*job, machine_, queue_s);
     queue_.release(job->ranks);
     JobSettlement s;
     s.line = std::move(r.response_line);

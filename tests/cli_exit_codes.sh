@@ -77,6 +77,10 @@ expect_exit 2 "$qsv" transpile "$qft8" --local 6 --pass nope
 expect_exit 2 "$qsv" transpile "$qft8" --local 0
 expect_exit 2 "$qsv" transpile "$qft8" --local 99                # > 8 qubits
 
+# --- price: --machine names the built-in model or an overrides file ---------
+expect_exit 0 "$qsv" price --qft 30 --machine archer2
+expect_exit 1 "$qsv" price --qft 30 --machine "$tmp/no-such-overrides.cfg"
+
 # --- exit 6: deadline exceeded ----------------------------------------------
 # A deadline that has already passed cancels at the first gate boundary;
 # the partial cost (gates applied, modeled joules) is still reported.

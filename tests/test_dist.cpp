@@ -208,6 +208,10 @@ TEST(Dist, EventListenerSeesEveryGate) {
       case ExecEvent::Kind::kSweep:
         announced += static_cast<std::size_t>(e.sweep_gates);
         break;
+      case ExecEvent::Kind::kGuard:
+      case ExecEvent::Kind::kRecovery:
+      case ExecEvent::Kind::kWarning:
+        break;  // emitted by the guard and recovery layers, never the engine
     }
   }
   EXPECT_EQ(per_gate, qft.size());

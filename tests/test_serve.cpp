@@ -20,6 +20,7 @@
 #include "dist/dist_statevector.hpp"
 #include "machine/archer2.hpp"
 #include "perf/fleet.hpp"
+#include "perf/runner.hpp"
 #include "serve/admission.hpp"
 #include "serve/json.hpp"
 #include "serve/plan_cache.hpp"
@@ -73,8 +74,8 @@ TEST(ServeJson, RejectsHostileInput) {
 
 TEST(ServeJson, TypedAccessorsThrowOnMismatch) {
   const Json j = parse_json(R"({"circuit":42})");
-  EXPECT_THROW(j.find("circuit")->as_string(), ProtocolError);
-  EXPECT_THROW(j.find("circuit")->as_object(), ProtocolError);
+  EXPECT_THROW((void)j.find("circuit")->as_string(), ProtocolError);
+  EXPECT_THROW((void)j.find("circuit")->as_object(), ProtocolError);
   EXPECT_EQ(j.find("circuit")->as_number(), 42);
 }
 
@@ -257,6 +258,25 @@ TEST(Admission, AcceptsFeasibleAndCachesThePlan) {
   ASSERT_TRUE(d2.admit);
   EXPECT_TRUE(d2.cache_hit);
   EXPECT_EQ(d1.plan.get(), d2.plan.get());  // shared immutable plan
+}
+
+TEST(Admission, PlanPricesItsWholePrefixAsTheEstimate) {
+  // The plan carries the one job configuration and engine options it was
+  // priced under; a deadline prefix priced from them over every gate is
+  // the full-run estimate, bit for bit.
+  const MachineModel m = archer2();
+  PlanCache cache(8);
+  AdmissionController ctl(m, AdmissionLimits{}, cache);
+  const AdmissionDecision d =
+      ctl.decide(run_request("qubits 4\nh 0\nh 3\ncx 0 3\nswap 1 3\n"));
+  ASSERT_TRUE(d.admit) << d.reason;
+  const CachedPlan& plan = *d.plan;
+  EXPECT_EQ(plan.job.num_qubits, 4);
+  EXPECT_EQ(plan.job.nodes, 2);
+  const RunReport full = price_prefix(plan.circuit, plan.circuit.size(), m,
+                                      plan.job, plan.opts);
+  EXPECT_EQ(full.runtime_s, plan.estimate.runtime_s);
+  EXPECT_EQ(full.total_energy_j(), plan.estimate.total_energy_j());
 }
 
 TEST(Admission, RejectsWithTypedReasons) {

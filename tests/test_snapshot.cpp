@@ -4,12 +4,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "circuit/builders.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dist/observables.hpp"
 #include "test_util.hpp"
 
 namespace qsv {
@@ -301,6 +306,47 @@ TEST(CheckpointStore, RemovesStaleTempsAndAdoptsCommittedFiles) {
 
 TEST(CheckpointStore, RejectsZeroRetention) {
   EXPECT_THROW(CheckpointStore(tmp_path("ckpt_zero"), 0), Error);
+}
+
+/// A 7-qubit random state over 4 ranks, saved to `path`; returns the file.
+std::string saved_random_state(const std::string& path,
+                               DistStateVector<SoaStorage>& sv) {
+  Rng rng(9);
+  sv.apply(build_random(7, 120, rng));
+  save_state(path, sv);
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(Snapshot, HeaderCrcIsTheStateDigest) {
+  // The payload is the `state crc32` stream: every slice in rank order as
+  // interleaved (re, im) doubles, so the header CRC is the digest.
+  const std::string path = tmp_path("snap_digest.qsv");
+  DistStateVector<SoaStorage> sv(7, 4);
+  const std::string bytes = saved_random_state(path, sv);
+  ASSERT_EQ(bytes.size(), 24 + (std::size_t{1} << 7) * kBytesPerAmp);
+  std::uint32_t header_crc = 0;
+  std::memcpy(&header_crc, bytes.data() + 16, sizeof header_crc);
+  char hex[16];
+  std::snprintf(hex, sizeof hex, "%08x", header_crc);
+  EXPECT_EQ(hex, state_digest(sv));
+  EXPECT_EQ(header_crc, crc32(bytes.data() + 24, bytes.size() - 24));
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, SliceCrcIsTheCrcOfTheRanksPayloadSpan) {
+  const std::string path = tmp_path("snap_slice_crc.qsv");
+  DistStateVector<SoaStorage> sv(7, 4);
+  const std::string bytes = saved_random_state(path, sv);
+  const std::size_t span = sv.local_amps() * kBytesPerAmp;
+  for (rank_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(sv.slice_crc(r),
+              crc32(bytes.data() + 24 + static_cast<std::size_t>(r) * span,
+                    span))
+        << "rank " << r;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Snapshot, LoadRankSliceRestoresExactlyOneSlice) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,6 +63,19 @@ TYPED_TEST(StorageTyped, PackRangeChecks) {
   EXPECT_THROW((void)s.pack(4, 5, buf.data()), Error);
   EXPECT_THROW(s.unpack(8, 1, buf.data()), Error);
   EXPECT_NO_THROW((void)s.pack(0, 8, buf.data()));
+}
+
+TEST(Storage, PackWritesInterleavedReImDoubles) {
+  // The one amplitude byte layout: amplitude k of the range is the double
+  // pair (re, im) at byte offset 16 k.
+  SoaStorage s(4);
+  for (amp_index i = 0; i < 4; ++i) {
+    s.set(i, cplx{1.0 + static_cast<double>(i), -0.5 - static_cast<double>(i)});
+  }
+  std::vector<std::byte> buf(3 * kBytesPerAmp);
+  ASSERT_EQ(s.pack(1, 3, buf.data()), 3 * kBytesPerAmp);
+  const double want[6] = {2.0, -1.5, 3.0, -2.5, 4.0, -3.5};
+  EXPECT_EQ(std::memcmp(buf.data(), want, sizeof want), 0);
 }
 
 TEST(Storage, SoaExposesComponentArrays) {

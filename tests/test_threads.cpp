@@ -218,36 +218,6 @@ TEST(Cluster, ConcurrentSendBackpressureSurvivesQueueErase) {
   EXPECT_TRUE(c.quiescent());
 }
 
-TEST(Cluster, PerRankBarrierSynchronisesThreads) {
-  VirtualCluster c(4, 1024, /*recv_deadline_s=*/5.0);
-  c.enable_concurrent(4);
-  std::atomic<int> before{0};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&, r] {
-      ++before;
-      c.barrier(static_cast<rank_t>(r));
-      // Nobody passes until all four arrived.
-      EXPECT_EQ(before.load(), 4);
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(c.stats().barriers, 1u);
-  EXPECT_EQ(c.stats().barrier_arrivals, 4u);
-}
-
-TEST(Cluster, PerRankBarrierTimesOutWhenShortHanded) {
-  VirtualCluster c(2, 1024, /*recv_deadline_s=*/0.05);
-  c.enable_concurrent(2);
-  EXPECT_THROW(c.barrier(0), CommTimeout);
-  EXPECT_EQ(c.stats().barriers, 0u);
-  // The timed-out arrival is withdrawn from the stats too, so completed
-  // barriers always satisfy arrivals == barriers * num_ranks.
-  EXPECT_EQ(c.stats().barrier_arrivals, 0u);
-}
-
 // --- serial vs threaded bit identity ---
 
 DistOptions threaded_opts(int ranks, DistOptions base = {}) {

@@ -14,7 +14,7 @@
 //   qsv price (<file.qc> | --qft N | --fast-qft N) [--nodes N] [--highmem]
 //             [--freq low|medium|high] [--half-exchange]
 //             [--policy blocking|nonblocking|overlapped] [--nonblocking]
-//             [--timeline out.csv] [--machine overrides.machine]
+//             [--timeline out.csv] [--machine (archer2 | overrides.machine)]
 //             [--mtbf HOURS] [--checkpoint-interval SECONDS]
 //             [--guards K] [--guard-crc] [--spares N]
 //   qsv sbatch --qubits N [--highmem] [--freq ...] [--name J] [--cmd CMD]
@@ -512,11 +512,7 @@ int cmd_price(int argc, const char* const* argv) {
   args.flag("guard-crc");
   args.parse(argc, argv);
 
-  // Optional machine-config overrides on top of the ARCHER2 calibration.
-  MachineModel m =
-      args.value("machine")
-          ? load_machine_config(archer2(), *args.value("machine"))
-          : archer2();
+  MachineModel m = machine_arg(args);
   if (args.has("mtbf")) {
     const double mtbf_hours = args.double_or("mtbf", 0);
     require_arg(mtbf_hours > 0, "--mtbf must be positive");
